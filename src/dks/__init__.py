@@ -12,6 +12,7 @@ from .estimation import (
     Sample,
     SearchConfig,
     cv_score,
+    cv_score_grid,
     default_eval_hi,
     default_search_config,
     frequency_estimate,

@@ -133,11 +133,14 @@ def _cmd_cv(args) -> int:
     sample = _load_data(args.data)
     kernel = _parse_kernel(args.kernel, args.p)
     base = default_search_config(kernel.family)
-    config = SearchConfig(
-        h_min=args.h_min if args.h_min is not None else base.h_min,
-        h_max=args.h_max if args.h_max is not None else base.h_max,
-        grid_points=args.grid,
-    )
+    try:
+        config = SearchConfig(
+            h_min=args.h_min if args.h_min is not None else base.h_min,
+            h_max=args.h_max if args.h_max is not None else base.h_max,
+            grid_points=args.grid,
+        )
+    except ValueError as exc:
+        raise _UsageError(f"bad search domain: {exc}") from None
     sel = select_bandwidth(sample, kernel, config)
     print(f"# kernel={kernel.label} n={sample.n} h_cv={_fmt(sel.h_cv, 12)}")
     rows = [[_fmt(h, 12), _fmt(score, 12)] for h, score in sel.cv_curve]

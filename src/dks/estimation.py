@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, pmf_grid, validate_bandwidth
+from .kernels import KernelFamily, KernelSpec, pmf_grid
 
 __all__ = [
     "Sample",
@@ -39,6 +39,7 @@ __all__ = [
     "kernel_estimate_raw",
     "normalize_estimate",
     "cv_score",
+    "cv_score_grid",
     "select_bandwidth",
 ]
 
@@ -226,23 +227,64 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
     return PmfEstimate(raw.eval_lo, raw.eval_hi, raw.values / total, total, True)
 
 
-def _cv_first_term_values(sample: Sample, kernel: KernelSpec, h: float, tail_eps: float) -> np.ndarray:
-    # Raw estimate over [0, B] where B starts at the default bound and grows
-    # until the summand is below tail_eps; matters for the diffuse families
-    # whose mass extends well beyond the largest observation.
+# Largest (bandwidths x targets x distinct values) block that one pass of
+# cv_score_grid builds.  A sample whose grid exceeds it for a single
+# bandwidth runs one bandwidth per pass, so its peak memory stays that of
+# cv_score.
+_CV_GRID_CELLS = 1 << 16
+
+# The first CV term's range is extended in steps of _TAIL_STEP rows; one
+# kernel grid serves _TAIL_STEPS_PER_GRID steps.
+_TAIL_STEP = 16
+_TAIL_STEPS_PER_GRID = 4
+
+
+def _check_cv_sample(sample: Sample) -> None:
+    if sample.n < 2:
+        raise ValueError("cross-validation needs at least two observations")
+
+
+def _cv_targets(sample: Sample) -> np.ndarray:
+    return np.arange(0, default_eval_hi(sample) + 1)
+
+
+def _cv_from_grids(sample: Sample, kernel: KernelSpec, hs: list[float], grids: np.ndarray, tail_eps: float) -> list[float]:
+    # grids[i] is K_{x,hs[i]}(us) on the targets x = 0..default_eval_hi.  For
+    # each bandwidth the first term's range grows past that bound, one step
+    # at a time, until the summand at its end is below tail_eps; this
+    # matters for the diffuse families whose mass extends well beyond the
+    # largest observation.  Every observed value is a target, so the rows us
+    # of grids[i] are the pair grid K_{us,h}(us).  A stacked matmul runs one
+    # matrix-vector product per contiguous slice, and the tail steps are
+    # reduced one slice at a time, so a bandwidth's score does not depend on
+    # which bandwidths share its grids.
     us = sample.distinct_values
     cs = sample.value_counts
-    hi = default_eval_hi(sample)
-    xs = np.arange(0, hi + 1)
-    vals = pmf_grid(kernel, xs, h, us) @ cs / sample.n
-    while vals[-1] > tail_eps:
-        if hi > 100_000:
-            raise RuntimeError("cross-validation sum failed to truncate")
-        ext = np.arange(hi + 1, hi + 17)
-        more = pmf_grid(kernel, ext, h, us) @ cs / sample.n
-        vals = np.concatenate([vals, more])
-        hi += 16
-    return vals
+    n = sample.n
+    parts = [[first] for first in grids @ cs / n]
+    hi = grids.shape[1] - 1
+    extending = [i for i, p in enumerate(parts) if p[-1][-1] > tail_eps]
+    while extending:
+        rows = np.arange(hi + 1, hi + 1 + _TAIL_STEP * _TAIL_STEPS_PER_GRID)
+        more = pmf_grid(kernel, rows, [hs[i] for i in extending], us)
+        for i, grid in zip(extending, more):
+            for step in range(_TAIL_STEPS_PER_GRID):
+                if parts[i][-1][-1] <= tail_eps:
+                    break
+                if hi + step * _TAIL_STEP > 100_000:
+                    raise RuntimeError("cross-validation sum failed to truncate")
+                parts[i].append(grid[step * _TAIL_STEP : (step + 1) * _TAIL_STEP] @ cs / n)
+        hi += rows.size
+        extending = [i for i in extending if parts[i][-1][-1] > tail_eps]
+    pair_grids = grids[:, us]
+    pair_rows = cs @ pair_grids
+    diagonals = pair_grids.diagonal(axis1=1, axis2=2)
+    scores = []
+    for p, row, diagonal in zip(parts, pair_rows, diagonals):
+        vals = np.concatenate(p) if len(p) > 1 else p[0]
+        pair_sum = float(row @ cs - np.dot(cs, diagonal))
+        scores.append(float(np.dot(vals, vals)) - 2.0 * pair_sum / (n * (n - 1.0)))
+    return scores
 
 
 def cv_score(sample: Sample, kernel: KernelSpec, h: float, tail_eps: float = 1e-12) -> float:
@@ -251,17 +293,32 @@ def cv_score(sample: Sample, kernel: KernelSpec, h: float, tail_eps: float = 1e-
     The pair sum runs over ordered pairs of distinct observations, grouped
     through the value -> count map.  Requires n >= 2.
     """
-    if sample.n < 2:
-        raise ValueError("cross-validation needs at least two observations")
-    validate_bandwidth(kernel, h)
-    n = sample.n
-    vals = _cv_first_term_values(sample, kernel, h, tail_eps)
-    term1 = float(np.dot(vals, vals))
+    _check_cv_sample(sample)
+    grid = pmf_grid(kernel, _cv_targets(sample), h, sample.distinct_values)
+    return _cv_from_grids(sample, kernel, [h], grid[None], tail_eps)[0]
+
+
+def cv_score_grid(sample: Sample, kernel: KernelSpec, hs, tail_eps: float = 1e-12) -> np.ndarray:
+    """CV(h) at every bandwidth of the 1-d array ``hs``.
+
+    The kernel grids of several bandwidths are built in one pass, up to
+    2^16 (bandwidth, target, distinct value) cells per pass; entry i equals
+    ``cv_score(sample, kernel, hs[i], tail_eps)`` bit for bit.
+    """
+    _check_cv_sample(sample)
+    hs = np.asarray(hs, dtype=np.float64)
+    if hs.ndim != 1:
+        raise ValueError(f"bandwidths must be a 1-d array, got shape {hs.shape}")
+    xs = _cv_targets(sample)
     us = sample.distinct_values
-    cs = sample.value_counts
-    pair_grid = pmf_grid(kernel, us, h, us)
-    pair_sum = float(cs @ pair_grid @ cs - np.dot(cs, np.diag(pair_grid)))
-    return term1 - 2.0 * pair_sum / (n * (n - 1.0))
+    per_pass = max(1, _CV_GRID_CELLS // (max(xs.size, _TAIL_STEP * _TAIL_STEPS_PER_GRID) * us.size))
+    scores: list[float] = []
+    for start in range(0, hs.size, per_pass):
+        chunk = hs[start : start + per_pass]
+        # The grids are passed as a temporary, so each pass frees them
+        # before the next pass builds its own.
+        scores += _cv_from_grids(sample, kernel, chunk.tolist(), pmf_grid(kernel, xs, chunk, us), tail_eps)
+    return np.array(scores)
 
 
 def select_bandwidth(
@@ -269,8 +326,9 @@ def select_bandwidth(
     kernel: KernelSpec,
     config: SearchConfig | None = None,
 ) -> BandwidthSelection:
-    """Minimise CV(h): coarse log-spaced scan, then golden-section refinement
-    inside the bracket around the grid minimum.
+    """Minimise CV(h): coarse log-spaced scan (evaluated in batches by
+    ``cv_score_grid``), then golden-section refinement inside the bracket
+    around the grid minimum.
 
     Returns the best bandwidth over every evaluated point; exact ties go to
     the smaller h.
@@ -279,8 +337,8 @@ def select_bandwidth(
     if kernel.family is KernelFamily.BINOMIAL and cfg.h_max > 1.0:
         raise ValueError("binomial kernel needs h_max <= 1")
     hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
-    evaluated = [(float(h), cv_score(sample, kernel, float(h))) for h in hs]
-    scores = [s for _, s in evaluated]
+    scores = cv_score_grid(sample, kernel, hs)
+    evaluated = list(zip(hs.tolist(), scores.tolist()))
     i = int(np.argmin(scores))
 
     if cfg.refine_iterations > 0:

@@ -117,7 +117,7 @@ class SupportRange:
 
 def validate_bandwidth(kernel: KernelSpec, h: float) -> None:
     """Raise ValueError unless h is a valid bandwidth for the family."""
-    if not np.isfinite(h):
+    if not math.isfinite(h):
         raise ValueError(f"bandwidth must be finite, got {h!r}")
     fam = kernel.family
     if fam is KernelFamily.DIRAC:
@@ -132,25 +132,33 @@ def validate_bandwidth(kernel: KernelSpec, h: float) -> None:
 
 
 def _validate_targets(xs: np.ndarray) -> None:
-    if xs.size and (np.any(xs < 0) or np.any(xs != np.floor(xs))):
+    # x is a non-negative integer exactly when floor(|x|) == x (NaN fails too)
+    if (np.floor(np.abs(xs)) != xs).any():
         raise ValueError("kernel targets must be non-negative integers")
 
 
-def pmf_grid(kernel: KernelSpec, xs, h: float, ys) -> np.ndarray:
+def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
     """Kernel mass K_{x,h}(y) on the grid targets-by-points.
 
     Parameters
     ----------
     xs : array-like of non-negative integer targets (rows).
-    h : bandwidth, validated against the family.
+    h : bandwidth, or a 1-d array of bandwidths; each is validated against
+        the family.
     ys : array-like of integer evaluation points (columns); points outside
         the family's support get exactly 0.
 
     Returns
     -------
-    ndarray of shape (len(xs), len(ys)).
+    ndarray of shape (len(xs), len(ys)) for a scalar h, and of shape
+    (len(h), len(xs), len(ys)) for a 1-d h, whose slice i equals the grid
+    at h[i] bit for bit.
     """
-    validate_bandwidth(kernel, h)
+    hs = np.asarray(h, dtype=np.float64)
+    if hs.ndim > 1:
+        raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
+    for value in hs.flat:
+        validate_bandwidth(kernel, float(value))
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
     _validate_targets(xs)
@@ -159,16 +167,19 @@ def pmf_grid(kernel: KernelSpec, xs, h: float, ys) -> np.ndarray:
     fam = kernel.family
 
     if fam is KernelFamily.DIRAC:
-        return (X == Y).astype(np.float64)
+        grid = (X == Y).astype(np.float64)
+        return np.repeat(grid[None], hs.size, axis=0) if hs.ndim else grid
 
     if fam is KernelFamily.TRIANGULAR:
-        p = kernel.arm
+        # One bandwidth at a time: a scalar exponent keeps every power
+        # identical to the scalar call, which an array exponent does not.
         d = np.abs(Y - X)
-        denom = (2 * p + 1) * (p + 1.0) ** h - 2.0 * np.sum(
-            np.arange(1.0, p + 1.0) ** h
-        )
-        out = ((p + 1.0) ** h - d**h) / denom
-        return np.where(d <= p, out, 0.0)
+        if hs.ndim:
+            return np.array([_triangular_grid(kernel.arm, d, float(v)) for v in hs]).reshape(hs.size, *d.shape)
+        return _triangular_grid(kernel.arm, d, float(hs))
+
+    # The standard families broadcast over a leading bandwidth axis.
+    h = hs[:, None, None] if hs.ndim else float(hs)
 
     if fam is KernelFamily.POISSON:
         lam = X + h
@@ -202,6 +213,15 @@ def pmf_grid(kernel: KernelSpec, xs, h: float, ys) -> np.ndarray:
         + xlogy(Yc, 1.0 - q)
     )
     return np.where(Y >= 0, np.exp(logp), 0.0)
+
+
+def _triangular_normalizer(arm: int, h: float) -> float:
+    return (2 * arm + 1) * (arm + 1.0) ** h - 2.0 * np.sum(np.arange(1.0, arm + 1.0) ** h)
+
+
+def _triangular_grid(arm: int, d: np.ndarray, h: float) -> np.ndarray:
+    out = ((arm + 1.0) ** h - d**h) / _triangular_normalizer(arm, h)
+    return np.where(d <= arm, out, 0.0)
 
 
 def kernel_pmf(kernel: KernelSpec, x: int, h: float, y: int) -> float:
@@ -305,8 +325,7 @@ def kernel_variance(kernel: KernelSpec, x: int, h: float) -> float:
         return (xf + h) * (2.0 * xf + 1.0 + h) / (xf + 1.0)
     p = kernel.arm
     k = np.arange(1.0, p + 1.0)
-    denom = (2 * p + 1) * (p + 1.0) ** h - 2.0 * np.sum(k**h)
-    return float(2.0 * np.sum(k**2 * ((p + 1.0) ** h - k**h)) / denom)
+    return float(2.0 * np.sum(k**2 * ((p + 1.0) ** h - k**h)) / _triangular_normalizer(p, h))
 
 
 def modal_limit_ratio_poisson_binomial(x: int) -> float:

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,17 @@ class TruePmf:
         return float(np.dot(p, p))
 
 
+@functools.lru_cache(maxsize=1024)
+def _poisson_tail_cutoff(mu: float, eps: float) -> int:
+    # Cached per (mu, eps): studies and risk sweeps ask for the same few
+    # cutoffs thousands of times, and each scan runs scipy's sf.
+    hi = int(np.ceil(mu + 10.0 * np.sqrt(max(mu, 1.0)))) + 1
+    while stats.poisson.sf(hi, mu) > eps:
+        hi = 2 * hi + 8
+    sf = stats.poisson.sf(np.arange(0, hi + 1), mu)
+    return int(np.argmax(sf <= eps))
+
+
 @dataclass(frozen=True)
 class PoissonPmf(TruePmf):
     mu: float
@@ -75,11 +87,7 @@ class PoissonPmf(TruePmf):
         return float(result) if result.ndim == 0 else result
 
     def tail_cutoff(self, eps: float = 1e-12) -> int:
-        hi = int(np.ceil(self.mu + 10.0 * np.sqrt(max(self.mu, 1.0)))) + 1
-        while stats.poisson.sf(hi, self.mu) > eps:
-            hi = 2 * hi + 8
-        sf = stats.poisson.sf(np.arange(0, hi + 1), self.mu)
-        return int(np.argmax(sf <= eps))
+        return _poisson_tail_cutoff(self.mu, eps)
 
     def label(self) -> str:
         return f"poisson(mu={self.mu:g})"
@@ -97,6 +105,7 @@ class TabulatedPmf(TruePmf):
         if abs(vals.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {vals.sum()!r}")
         self.values = vals
+        self._cutoffs: dict[float, int] = {}
 
     def pmf(self, x):
         x = np.asarray(x)
@@ -109,9 +118,11 @@ class TabulatedPmf(TruePmf):
         return float(out) if out.ndim == 0 else out
 
     def tail_cutoff(self, eps: float = 1e-12) -> int:
-        tail = np.concatenate([np.cumsum(self.values[::-1])[::-1][1:], [0.0]])
-        idx = np.nonzero(tail <= eps)[0]
-        return int(idx[0]) if idx.size else len(self.values) - 1
+        if eps not in self._cutoffs:
+            tail = np.concatenate([np.cumsum(self.values[::-1])[::-1][1:], [0.0]])
+            idx = np.nonzero(tail <= eps)[0]
+            self._cutoffs[eps] = int(idx[0]) if idx.size else len(self.values) - 1
+        return self._cutoffs[eps]
 
     def label(self) -> str:
         return f"tabulated[0..{len(self.values) - 1}]"

@@ -176,11 +176,17 @@ def _worker(args) -> tuple[int, float, float, np.ndarray]:
 
 
 def _workers_from_env() -> int:
+    """Worker processes for run_study: DKS_THREADS, an integer in
+    [1, cpu count], default 1."""
     raw = os.environ.get("DKS_THREADS", "1")
+    cpus = os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        raise ValueError(f"DKS_THREADS must be an integer, got {raw!r}") from None
+    if not 1 <= workers <= cpus:
+        raise ValueError(f"DKS_THREADS must be between 1 and the CPU count {cpus}, got {workers}")
+    return workers
 
 
 def run_study(config: SimulationConfig) -> StudyReport:
@@ -188,8 +194,9 @@ def run_study(config: SimulationConfig) -> StudyReport:
 
     Per cell: mean of the replicate ISEs, the pointwise-mean bias/variance
     decomposition of those estimates, and the bandwidth statistics.
-    Replicates may execute in parallel (DKS_THREADS); aggregation is a
-    deterministic reduction in replicate order either way.
+    Replicates may execute in parallel (DKS_THREADS), in one process pool
+    for the whole study; aggregation is a deterministic reduction in
+    replicate order either way.
     """
     workers = _workers_from_env()
     report = StudyReport(
@@ -199,16 +206,18 @@ def run_study(config: SimulationConfig) -> StudyReport:
         normalize=config.normalize,
     )
     truth_hi = config.true_pmf.tail_cutoff(1e-12)
-    for kernel in config.kernels:
-        for n in config.sample_sizes:
+    cells = [(kernel, n) for kernel in config.kernels for n in config.sample_sizes]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    chunk = max(1, config.replicates // (workers * 4))
+    try:
+        # Every cell's jobs are queued up front, so the workers go on to the
+        # next cell while this process aggregates the previous one.
+        pending = []
+        for kernel, n in cells:
             jobs = [(config, kernel, n, rep) for rep in range(config.replicates)]
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as ex:
-                    chunk = max(1, config.replicates // (workers * 4))
-                    results = list(ex.map(_worker, jobs, chunksize=chunk))
-            else:
-                results = [_worker(j) for j in jobs]
-            results.sort(key=lambda t: t[0])
+            pending.append(map(_worker, jobs) if pool is None else pool.map(_worker, jobs, chunksize=chunk))
+        for (kernel, n), cell_results in zip(cells, pending):
+            results = sorted(cell_results, key=lambda t: t[0])
             hs = np.array([r[1] for r in results])
             ises = np.array([r[2] for r in results])
             width = max(max(len(r[3]) for r in results), truth_hi + 1)
@@ -235,4 +244,7 @@ def run_study(config: SimulationConfig) -> StudyReport:
                     h_values=[float(h) for h in hs],
                 )
             )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return report

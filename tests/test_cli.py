@@ -95,6 +95,18 @@ class TestCv:
         assert hs == sorted(hs)
 
 
+    def test_grid_below_minimum_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "cv", "--data", "builtin:safou", "--kernel", "binomial", "--grid", "8")
+        assert code == 1
+        assert "usage error" in err and "grid_points" in err
+
+    def test_empty_search_domain_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "cv", "--data", "builtin:safou", "--kernel", "poisson",
+                           "--h-min", "2", "--h-max", "2")
+        assert code == 1
+        assert "usage error" in err and "h_min < h_max" in err
+
+
 class TestSimulate:
     def test_deterministic_output_bytes(self, capsys):
         args = ("simulate", "--true", "poisson:2", "--sizes", "25", "--replicates", "1",

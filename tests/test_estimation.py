@@ -145,6 +145,51 @@ class TestNormalize:
             assert out.total() == pytest.approx(1.0, abs=1e-12)
 
 
+def reference_cv_score(sample, kernel, h, tail_eps=1e-12):
+    """CV(h) as evaluated before the batched path: a first-term grid, one
+    grid per 16-row tail extension and a separate pair grid."""
+    us, cs, n = sample.distinct_values, sample.value_counts, sample.n
+    hi = E.default_eval_hi(sample)
+    vals = K.pmf_grid(kernel, np.arange(0, hi + 1), h, us) @ cs / n
+    while vals[-1] > tail_eps:
+        more = K.pmf_grid(kernel, np.arange(hi + 1, hi + 17), h, us) @ cs / n
+        vals = np.concatenate([vals, more])
+        hi += 16
+    term1 = float(np.dot(vals, vals))
+    pair_grid = K.pmf_grid(kernel, us, h, us)
+    pair_sum = float(cs @ pair_grid @ cs - np.dot(cs, np.diag(pair_grid)))
+    return term1 - 2.0 * pair_sum / (n * (n - 1.0))
+
+
+def reference_select(sample, kernel, cfg):
+    """The 106-call selection loop: 64 sequential grid points, then 42
+    golden-section steps, every one through reference_cv_score."""
+    hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
+    evaluated = [(float(h), reference_cv_score(sample, kernel, float(h))) for h in hs]
+    i = int(np.argmin([s for _, s in evaluated]))
+    a = math.log(hs[max(i - 1, 0)])
+    b = math.log(hs[min(i + 1, len(hs) - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = reference_cv_score(sample, kernel, math.exp(c))
+    fd = reference_cv_score(sample, kernel, math.exp(d))
+    evaluated += [(math.exp(c), fc), (math.exp(d), fd)]
+    for _ in range(cfg.refine_iterations):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = reference_cv_score(sample, kernel, math.exp(c))
+            evaluated.append((math.exp(c), fc))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = reference_cv_score(sample, kernel, math.exp(d))
+            evaluated.append((math.exp(d), fd))
+    best_h, _ = min(evaluated, key=lambda t: (t[1], t[0]))
+    return best_h, sorted(evaluated)
+
+
 class TestCvScore:
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
@@ -183,6 +228,117 @@ class TestCvScore:
         # every ordered pair, so CV -> 1 - 2
         sample = E.Sample.from_values([2, 2, 2, 2])
         assert E.cv_score(sample, T1, 1e-6) == pytest.approx(-1.0, abs=1e-4)
+
+
+class TestBatchedCv:
+    @pytest.mark.parametrize("kernel", [D, B, P, NB, T1, K.triangular(3)])
+    def test_array_h_grid_equals_stacked_scalar_grids(self, kernel):
+        hs = [0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 29)
+        xs, ys = np.arange(0, 40), np.array([0, 1, 2, 5, 9, 17, 33, 45])
+        grids = K.pmf_grid(kernel, xs, hs, ys)
+        assert grids.shape == (len(hs), len(xs), len(ys))
+        want = np.stack([K.pmf_grid(kernel, xs, float(h), ys) for h in hs])
+        np.testing.assert_array_equal(grids, want)
+
+    def test_array_h_validates_every_bandwidth(self):
+        with pytest.raises(ValueError):
+            K.pmf_grid(B, [0, 1], [0.5, 1.5], [0, 1])
+        with pytest.raises(ValueError):
+            K.pmf_grid(P, [0, 1], [[0.5]], [0, 1])
+        assert K.pmf_grid(P, [0, 1], 0.5, [0, 1, 2]).shape == (2, 3)
+
+    @pytest.mark.parametrize("kernel,h_hi", [(B, 1.0), (P, 5.0), (NB, 5.0), (T1, 10.0)])
+    def test_grid_equals_cv_score_and_naive(self, kernel, h_hi):
+        rng = np.random.default_rng(31)
+        hs = np.geomspace(1e-3, h_hi, 12)
+        for _ in range(4):
+            values = rng.poisson(2.5, rng.integers(2, 20)).tolist()
+            sample = E.Sample.from_values(values)
+            got = E.cv_score_grid(sample, kernel, hs)
+            want = [E.cv_score(sample, kernel, float(h)) for h in hs]
+            assert got.tolist() == want
+            for h, score in zip(hs[::4], got[::4]):
+                naive = naive_cv(values, kernel, float(h), E.default_eval_hi(sample) + 80)
+                assert score == pytest.approx(naive, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [P, NB])
+    def test_tail_extension_at_h5(self, kernel):
+        values = [0, 1, 1, 2, 3, 3, 4, 7]
+        sample = E.Sample.from_values(values)
+        # the first-term summand at the default bound exceeds the
+        # truncation threshold, so the range must be extended
+        assert E.kernel_estimate_raw(sample, kernel, 5.0).values[-1] > 1e-12
+        hs = np.array([0.5, 2.0, 5.0])
+        got = E.cv_score_grid(sample, kernel, hs)
+        assert got.tolist() == [E.cv_score(sample, kernel, float(h)) for h in hs]
+        assert got[-1] == reference_cv_score(sample, kernel, 5.0)
+        assert got[-1] == pytest.approx(naive_cv(values, kernel, 5.0, E.default_eval_hi(sample) + 80), abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [B, P, NB, T1])
+    def test_wide_sample_crosses_cell_budget(self, kernel, monkeypatch):
+        rng = np.random.default_rng(5)
+        sample = E.Sample.from_values(rng.integers(0, 150, 300))
+        cells = (E.default_eval_hi(sample) + 1) * len(sample.distinct_values)
+        hs = np.geomspace(0.01, 1.0, 7)
+        assert cells < E._CV_GRID_CELLS < cells * len(hs)
+        sizes = []
+
+        def recording_grid(*args):
+            grid = K.pmf_grid(*args)
+            sizes.append(grid.size)
+            return grid
+
+        monkeypatch.setattr(E, "pmf_grid", recording_grid)
+        got = E.cv_score_grid(sample, kernel, hs)
+        assert max(sizes) <= E._CV_GRID_CELLS
+        assert got.tolist() == [E.cv_score(sample, kernel, float(h)) for h in hs]
+
+    def test_wide_sample_peak_memory_is_one_evaluation(self):
+        # a sample wider than the cell budget runs one bandwidth per pass and
+        # must not hold more kernel grids at once than cv_score does
+        import tracemalloc
+
+        sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 400, 400))
+        assert (E.default_eval_hi(sample) + 1) * len(sample.distinct_values) > E._CV_GRID_CELLS
+
+        def peak(evaluate):
+            tracemalloc.start()
+            try:
+                evaluate()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak(lambda: E.cv_score(sample, B, 0.3))
+        batched = peak(lambda: E.cv_score_grid(sample, B, [0.01, 0.1, 0.3, 1.0]))
+        assert batched < 1.05 * single
+
+    def test_cv_score_equals_reference_loop(self):
+        rng = np.random.default_rng(8)
+        for kernel, h in [(B, 0.37), (P, 4.2), (NB, 4.9), (T1, 2.5), (K.triangular(2), 0.3)]:
+            for _ in range(5):
+                sample = E.Sample.from_values(rng.poisson(3.0, rng.integers(2, 40)))
+                assert E.cv_score(sample, kernel, h) == reference_cv_score(sample, kernel, h)
+
+    def test_grid_needs_two_observations(self):
+        with pytest.raises(ValueError):
+            E.cv_score_grid(E.Sample.from_values([4]), B, [0.5])
+
+    def test_selection_equals_reference_loop(self):
+        from dks.risk import PoissonPmf
+        from dks.simulation import replicate_stream, sample_from_pmf
+
+        f = PoissonPmf(2.0)
+        search = {T1: E.SearchConfig(0.5, 10.0)}
+        for r in range(20):
+            n = (15, 25, 50, 100)[r % 4]
+            sample = sample_from_pmf(f, n, replicate_stream(42, n, r))
+            for kernel in (B, P, NB, T1):
+                cfg = search.get(kernel, E.default_search_config(kernel.family))
+                sel = E.select_bandwidth(sample, kernel, cfg)
+                h_cv, curve = reference_select(sample, kernel, cfg)
+                assert sel.h_cv == h_cv
+                assert sel.cv_curve == curve
 
 
 class TestSelectBandwidth:

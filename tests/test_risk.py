@@ -30,6 +30,23 @@ class TestTruePmf:
         with pytest.raises(ValueError):
             R.TabulatedPmf([1.2, -0.2])
 
+    @pytest.mark.parametrize("mu", [0.3, 2.0, 21.7])
+    def test_poisson_tail_cutoff_is_first_index_below_eps(self, mu):
+        from scipy import stats
+
+        f = R.PoissonPmf(mu)
+        for eps in (1e-12, 1e-15, 1e-16, 1e-12):
+            x = f.tail_cutoff(eps)
+            assert stats.poisson.sf(x, mu) <= eps < stats.poisson.sf(x - 1, mu)
+            assert R.PoissonPmf(mu).tail_cutoff(eps) == x
+
+    def test_tabulated_tail_cutoff(self):
+        t = R.TabulatedPmf([0.5, 0.25, 0.25 - 1e-13, 1e-13])
+        for _ in range(2):
+            assert t.tail_cutoff(1e-12) == 2
+            assert t.tail_cutoff(1e-14) == 3
+            assert t.tail_cutoff(0.3) == 1
+
     def test_sum_squared_against_series(self):
         # e^{-2 mu} sum mu^{2x} / (x!)^2, summed far beyond the tail
         xs = np.arange(0, 80, dtype=float)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -130,9 +132,38 @@ class TestRunStudy:
             report.cell("poisson", 25)
 
     def test_parallel_equals_serial(self, monkeypatch):
-        cfg = small_config(replicates=6)
+        cfg = small_config(replicates=6, sample_sizes=(15, 25))
         serial = S.run_study(cfg)
+        pools = []
+
+        class CountingPool(S.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(S, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(S.os, "cpu_count", lambda: 2)  # DKS_THREADS is capped at the CPU count
         monkeypatch.setenv("DKS_THREADS", "2")
         parallel = S.run_study(cfg)
-        for ca, cb in zip(serial.cells, parallel.cells):
-            assert ca == cb
+        assert len(pools) == 1  # one pool serves all four cells
+        assert serial.cells == parallel.cells
+
+
+class TestWorkersFromEnv:
+    def test_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("DKS_THREADS", raising=False)
+        assert S._workers_from_env() == 1
+
+    def test_accepts_one_to_cpu_count(self, monkeypatch):
+        cpus = os.cpu_count() or 1
+        for value in {1, cpus}:
+            monkeypatch.setenv("DKS_THREADS", str(value))
+            assert S._workers_from_env() == value
+
+    @pytest.mark.parametrize("raw", ["abc", "", "2.5", "0", "-3", "cpus+1"])
+    def test_rejects_bad_values(self, monkeypatch, raw):
+        if raw == "cpus+1":
+            raw = str((os.cpu_count() or 1) + 1)
+        monkeypatch.setenv("DKS_THREADS", raw)
+        with pytest.raises(ValueError, match="DKS_THREADS"):
+            S._workers_from_env()
