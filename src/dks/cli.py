@@ -11,15 +11,12 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import reproduce
 from .data_io import builtin_dataset, load_counts, write_report
 from .estimation import (
     Sample,
     SearchConfig,
     default_search_config,
-    frequency_estimate,
     kernel_estimate_raw,
     normalize_estimate,
     select_bandwidth,
@@ -33,11 +30,12 @@ from .kernels import (
     modal_limit_ratio_negbin_poisson,
     modal_limit_ratio_poisson_binomial,
     modal_probability,
+    validate_bandwidth,
 )
 from .risk import PoissonPmf, exact_mise, frequency_mise
 from .simulation import SimulationConfig, run_study
 
-_KERNEL_NAMES = ("dirac", "binomial", "poisson", "negbin", "triangular")
+_KERNEL_NAMES = tuple(f.value for f in KernelFamily)
 
 
 class _UsageError(Exception):
@@ -139,6 +137,7 @@ def _cmd_cv(args) -> int:
             h_max=args.h_max if args.h_max is not None else base.h_max,
             grid_points=args.grid,
         )
+        validate_bandwidth(kernel, config.h_max)
     except ValueError as exc:
         raise _UsageError(f"bad search domain: {exc}") from None
     sel = select_bandwidth(sample, kernel, config)

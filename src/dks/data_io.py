@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,9 +209,3 @@ def write_report(report: StudyReport, fmt: str, destination) -> None:
     finally:
         if own:
             stream.close()
-
-
-def report_to_json_text(report: StudyReport) -> str:
-    buf = io.StringIO()
-    write_report(report, "json", buf)
-    return buf.getvalue()

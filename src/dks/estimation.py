@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, pmf_grid
+from .kernels import KernelFamily, KernelSpec, pmf_grid, validate_bandwidth
 
 __all__ = [
     "Sample",
@@ -123,11 +123,6 @@ class PmfEstimate:
 
     def total(self) -> float:
         return float(self.values.sum())
-
-    def value_at(self, x: int) -> float:
-        if self.eval_lo <= x <= self.eval_hi:
-            return float(self.values[x - self.eval_lo])
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -238,6 +233,10 @@ _CV_GRID_CELLS = 1 << 16
 _TAIL_STEP = 16
 _TAIL_STEPS_PER_GRID = 4
 
+# Largest target the first CV term may reach.  The dense (target x distinct
+# value) grids grow with it, so samples with values near it are refused.
+_CV_MAX_TARGET = 100_000
+
 
 def _check_cv_sample(sample: Sample) -> None:
     if sample.n < 2:
@@ -271,8 +270,11 @@ def _cv_from_grids(sample: Sample, kernel: KernelSpec, hs: list[float], grids: n
             for step in range(_TAIL_STEPS_PER_GRID):
                 if parts[i][-1][-1] <= tail_eps:
                     break
-                if hi + step * _TAIL_STEP > 100_000:
-                    raise RuntimeError("cross-validation sum failed to truncate")
+                if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
+                    raise RuntimeError(
+                        f"cross-validation sum failed to truncate: the first term needs targets past "
+                        f"{_CV_MAX_TARGET}, and the sample's largest value is {sample.max_value}"
+                    )
                 parts[i].append(grid[step * _TAIL_STEP : (step + 1) * _TAIL_STEP] @ cs / n)
         hi += rows.size
         extending = [i for i in extending if parts[i][-1][-1] > tail_eps]
@@ -334,8 +336,7 @@ def select_bandwidth(
     the smaller h.
     """
     cfg = config if config is not None else default_search_config(kernel.family)
-    if kernel.family is KernelFamily.BINOMIAL and cfg.h_max > 1.0:
-        raise ValueError("binomial kernel needs h_max <= 1")
+    validate_bandwidth(kernel, cfg.h_max)
     hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
     scores = cv_score_grid(sample, kernel, hs)
     evaluated = list(zip(hs.tolist(), scores.tolist()))
@@ -345,23 +346,24 @@ def select_bandwidth(
         a = math.log(hs[max(i - 1, 0)])
         b = math.log(hs[min(i + 1, len(hs) - 1)])
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+        def probe(t: float) -> float:
+            score = cv_score(sample, kernel, math.exp(t))
+            evaluated.append((math.exp(t), score))
+            return score
+
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
-        fc = cv_score(sample, kernel, math.exp(c))
-        fd = cv_score(sample, kernel, math.exp(d))
-        evaluated.append((math.exp(c), fc))
-        evaluated.append((math.exp(d), fd))
+        fc, fd = probe(c), probe(d)
         for _ in range(cfg.refine_iterations):
             if fc <= fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
-                fc = cv_score(sample, kernel, math.exp(c))
-                evaluated.append((math.exp(c), fc))
+                fc = probe(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
-                fd = cv_score(sample, kernel, math.exp(d))
-                evaluated.append((math.exp(d), fd))
+                fd = probe(d)
 
     best_h, _ = min(evaluated, key=lambda t: (t[1], t[0]))
     return BandwidthSelection(float(best_h), sorted(evaluated))

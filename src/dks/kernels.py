@@ -17,6 +17,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -201,9 +202,7 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
             )
         return np.where((Y >= 0) & (Y <= m), np.exp(logp), 0.0)
 
-    # negative binomial: r = x + 1 successes with probability q
-    r = X + 1.0
-    q = r / (2.0 * X + 1.0 + h)
+    r, q = _negbin_params(X, h)
     Yc = np.maximum(Y, 0.0)
     logp = (
         gammaln(Yc + r)
@@ -213,6 +212,12 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
         + xlogy(Yc, 1.0 - q)
     )
     return np.where(Y >= 0, np.exp(logp), 0.0)
+
+
+def _negbin_params(x, h):
+    # negative binomial: r = x + 1 successes with probability q, mean x + h
+    r = x + 1.0
+    return r, r / (2.0 * x + 1.0 + h)
 
 
 def _triangular_normalizer(arm: int, h: float) -> float:
@@ -229,9 +234,16 @@ def kernel_pmf(kernel: KernelSpec, x: int, h: float, y: int) -> float:
     return float(pmf_grid(kernel, [x], h, [y])[0, 0])
 
 
-def _tail_index(dist, mean: float, var: float, tail_eps: float) -> tuple[int, float]:
-    # Smallest k with survival mass P(Y > k) <= tail_eps, scanned downward
-    # from a generous starting bound.
+@functools.lru_cache(maxsize=1024)
+def _tail_index(kernel: KernelSpec, x: int, h: float, tail_eps: float) -> tuple[int, float]:
+    # Smallest k with survival mass P(Y > k) <= tail_eps for a poisson or
+    # negbin kernel, scanned downward from a generous starting bound.  Cached
+    # because risk sweeps and studies repeat the same few scipy sf scans.
+    if kernel.family is KernelFamily.POISSON:
+        dist = stats.poisson(x + h)
+    else:
+        dist = stats.nbinom(*_negbin_params(x, h))
+    mean, var = kernel_mean(kernel, x, h), kernel_variance(kernel, x, h)
     hi = int(math.ceil(mean + 10.0 * math.sqrt(max(var, 1.0)))) + 1
     while dist.sf(hi) > tail_eps:
         hi = 2 * hi + 8
@@ -258,21 +270,26 @@ def kernel_support(kernel: KernelSpec, x: int, h: float, tail_eps: float = 1e-12
     if fam is KernelFamily.TRIANGULAR:
         p = kernel.arm
         return SupportRange(x - p, x + p, x + p, 0.0)
-    if fam is KernelFamily.POISSON:
-        lam = x + h
-        hi, tail = _tail_index(stats.poisson(lam), lam, lam, tail_eps)
-        return SupportRange(0, None, hi, tail)
-    r = x + 1.0
-    q = r / (2.0 * x + 1.0 + h)
-    mean = x + h
-    var = (x + h) * (2.0 * x + 1.0 + h) / (x + 1.0)
-    hi, tail = _tail_index(stats.nbinom(r, q), mean, var, tail_eps)
+    hi, tail = _tail_index(kernel, x, h, tail_eps)
     return SupportRange(0, None, hi, tail)
 
 
 def modal_probability(kernel: KernelSpec, x: int, h: float) -> float:
     """Mass the kernel places on its own target, Pr(K_{x,h} = x)."""
     return kernel_pmf(kernel, x, h, x)
+
+
+def _log_poisson_limit(xf: float) -> float:
+    return xlogy(xf, xf) - xf - gammaln(xf + 1.0)
+
+
+def _log_negbin_limit(xf: float) -> float:
+    return (
+        gammaln(2.0 * xf + 1.0)
+        - 2.0 * gammaln(xf + 1.0)
+        + xlogy(xf, xf / (2.0 * xf + 1.0))
+        + (xf + 1.0) * np.log((xf + 1.0) / (2.0 * xf + 1.0))
+    )
 
 
 def modal_limit(kernel: KernelSpec, x: int) -> float:
@@ -287,17 +304,10 @@ def modal_limit(kernel: KernelSpec, x: int) -> float:
     if fam in (KernelFamily.DIRAC, KernelFamily.TRIANGULAR):
         return 1.0
     if fam is KernelFamily.POISSON:
-        return float(np.exp(xlogy(xf, xf) - xf - gammaln(xf + 1.0)))
+        return float(np.exp(_log_poisson_limit(xf)))
     if fam is KernelFamily.BINOMIAL:
         return float(np.exp(xlogy(xf, xf / (xf + 1.0))))
-    return float(
-        np.exp(
-            gammaln(2.0 * xf + 1.0)
-            - 2.0 * gammaln(xf + 1.0)
-            + xlogy(xf, xf / (2.0 * xf + 1.0))
-            + (xf + 1.0) * np.log((xf + 1.0) / (2.0 * xf + 1.0))
-        )
-    )
+    return float(np.exp(_log_negbin_limit(xf)))
 
 
 def kernel_mean(kernel: KernelSpec, x: int, h: float) -> float:
@@ -339,14 +349,7 @@ def modal_limit_ratio_negbin_poisson(x: int) -> float:
     """Ratio of the negbin to poisson modal limits; 1 at x = 0, decreasing."""
     _validate_targets(np.asarray([x], dtype=float))
     xf = float(x)
-    log_nb = (
-        gammaln(2.0 * xf + 1.0)
-        - 2.0 * gammaln(xf + 1.0)
-        + xlogy(xf, xf / (2.0 * xf + 1.0))
-        + (xf + 1.0) * np.log((xf + 1.0) / (2.0 * xf + 1.0))
-    )
-    log_p = xlogy(xf, xf) - xf - gammaln(xf + 1.0)
-    return float(np.exp(log_nb - log_p))
+    return float(np.exp(_log_negbin_limit(xf) - _log_poisson_limit(xf)))
 
 
 def triangular_small_h_coeffs(arm: int) -> tuple[float, float]:

@@ -97,12 +97,7 @@ REFERENCE_TABLE5 = {
 # defaults; the triangular floor is raised to the bottom of the reference
 # selection range so the noisy flat stretch of its CV curve cannot collapse
 # onto near-degenerate bandwidths.
-_SIM_SEARCH = {
-    KernelFamily.BINOMIAL: SearchConfig(1e-4, 1.0),
-    KernelFamily.POISSON: SearchConfig(1e-4, 5.0),
-    KernelFamily.NEGBIN: SearchConfig(1e-4, 5.0),
-    KernelFamily.TRIANGULAR: SearchConfig(0.5, 10.0),
-}
+_SIM_SEARCH = {KernelFamily.TRIANGULAR: SearchConfig(0.5, 10.0)}
 
 
 def table1_config(seed: int = DEFAULT_SEED) -> SimulationConfig:

@@ -14,14 +14,12 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln, xlogy
 
-from .kernels import KernelSpec, kernel_mean, kernel_support, kernel_variance, pmf_grid
+from .kernels import KernelSpec, _tail_index, kernel_mean, kernel_support, kernel_variance, pmf_grid, poisson
 
 __all__ = [
     "TruePmf",
@@ -60,17 +58,6 @@ class TruePmf:
         return float(np.dot(p, p))
 
 
-@functools.lru_cache(maxsize=1024)
-def _poisson_tail_cutoff(mu: float, eps: float) -> int:
-    # Cached per (mu, eps): studies and risk sweeps ask for the same few
-    # cutoffs thousands of times, and each scan runs scipy's sf.
-    hi = int(np.ceil(mu + 10.0 * np.sqrt(max(mu, 1.0)))) + 1
-    while stats.poisson.sf(hi, mu) > eps:
-        hi = 2 * hi + 8
-    sf = stats.poisson.sf(np.arange(0, hi + 1), mu)
-    return int(np.argmax(sf <= eps))
-
-
 @dataclass(frozen=True)
 class PoissonPmf(TruePmf):
     mu: float
@@ -87,7 +74,8 @@ class PoissonPmf(TruePmf):
         return float(result) if result.ndim == 0 else result
 
     def tail_cutoff(self, eps: float = 1e-12) -> int:
-        return _poisson_tail_cutoff(self.mu, eps)
+        # Poisson(mu) is the poisson kernel at target 0 with bandwidth mu.
+        return _tail_index(poisson(), 0, self.mu, eps)[0]
 
     def label(self) -> str:
         return f"poisson(mu={self.mu:g})"
@@ -250,13 +238,7 @@ def amise(
 ) -> float:
     """Leading term of the MISE:
     sum f^2 (m - 1)^2 + (1/n) sum f (m^2 - f)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x_max = f.tail_cutoff(integration_tail)
-    xs = np.arange(0, x_max + 1)
-    modal = pmf_grid(kernel, xs, h, xs)[np.arange(len(xs)), np.arange(len(xs))]
-    fx = f.pmf(xs)
-    return float(np.sum(fx * fx * (modal - 1.0) ** 2) + np.sum(fx * (modal * modal - fx)) / n)
+    return exact_mise(kernel, h, f, n, integration_tail=integration_tail).amise
 
 
 def frequency_mise(f: TruePmf, n: int) -> float:

@@ -106,6 +106,11 @@ class TestCv:
         assert code == 1
         assert "usage error" in err and "h_min < h_max" in err
 
+    def test_domain_outside_family_range_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "cv", "--data", "builtin:safou", "--kernel", "binomial", "--h-max", "2")
+        assert code == 1
+        assert "usage error: bad search domain" in err and "binomial kernel needs h in (0, 1]" in err
+
 
 class TestSimulate:
     def test_deterministic_output_bytes(self, capsys):

@@ -229,6 +229,14 @@ class TestCvScore:
         sample = E.Sample.from_values([2, 2, 2, 2])
         assert E.cv_score(sample, T1, 1e-6) == pytest.approx(-1.0, abs=1e-4)
 
+    def test_large_counts_name_the_target_limit(self):
+        # the first term of a diffuse kernel would need targets past 1e5
+        sample = E.Sample.from_values([100500, 100502, 100507])
+        for kernel in (P, NB):
+            with pytest.raises(RuntimeError, match=r"targets past 100000.*largest value is 100507"):
+                E.cv_score(sample, kernel, 0.1)
+        assert math.isfinite(E.cv_score(sample, B, 0.1))
+
 
 class TestBatchedCv:
     @pytest.mark.parametrize("kernel", [D, B, P, NB, T1, K.triangular(3)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dks import kernels as K
+from dks.estimation import default_search_config
 
 B, P, NB, D = K.binomial(), K.poisson(), K.negbin(), K.dirac()
 T1 = K.triangular(1)
@@ -296,3 +297,21 @@ class TestTriangularExpansion:
         h = 1e-4
         err = abs(K.kernel_variance(kernel, 4, h) - 2.0 * h * v)
         assert err < 100.0 * h * h
+
+
+class TestEveryFamily:
+    # A new family must answer every per-family function, not only some.
+    @pytest.mark.parametrize("family", list(K.KernelFamily))
+    def test_family_is_fully_wired(self, family):
+        kernel = K.KernelSpec(family, arm=2 if family is K.KernelFamily.TRIANGULAR else None)
+        h = 0.0 if family is K.KernelFamily.DIRAC else 0.5
+        grid = K.pmf_grid(kernel, [0, 3], h, np.arange(-3, 40))
+        assert grid.shape == (2, 43) and np.all(grid >= 0.0)
+        sup = K.kernel_support(kernel, 3, h)
+        assert sup.lo <= 3 <= sup.truncation_hi
+        assert grid[1].sum() == pytest.approx(1.0, abs=1e-9)
+        assert K.kernel_mean(kernel, 3, h) == pytest.approx(numeric_moments(kernel, 3, h)[0], abs=1e-9)
+        assert K.kernel_variance(kernel, 3, h) == pytest.approx(numeric_moments(kernel, 3, h)[1], abs=1e-9)
+        assert 0.0 < K.modal_limit(kernel, 3) <= 1.0
+        if family is not K.KernelFamily.DIRAC:
+            K.validate_bandwidth(kernel, default_search_config(family).h_max)

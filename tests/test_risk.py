@@ -40,6 +40,16 @@ class TestTruePmf:
             assert stats.poisson.sf(x, mu) <= eps < stats.poisson.sf(x - 1, mu)
             assert R.PoissonPmf(mu).tail_cutoff(eps) == x
 
+    @pytest.mark.parametrize("mu", [0.05, 0.3, 2.0, 21.7, 480.5])
+    def test_poisson_tail_cutoff_is_poisson_kernel_at_zero(self, mu):
+        # Poisson(mu) is the poisson kernel at target 0 with bandwidth mu;
+        # the cache is cleared so that each side runs its own scan
+        for eps in (1e-6, 1e-12, 1e-16):
+            K._tail_index.cache_clear()
+            want = K.kernel_support(P, 0, mu, eps).truncation_hi
+            K._tail_index.cache_clear()
+            assert R.PoissonPmf(mu).tail_cutoff(eps) == want
+
     def test_tabulated_tail_cutoff(self):
         t = R.TabulatedPmf([0.5, 0.25, 0.25 - 1e-13, 1e-13])
         for _ in range(2):
