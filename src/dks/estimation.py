@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, pmf_grid, validate_bandwidth
+from .kernels import KernelFamily, KernelSpec, _GridTerms, _validate_tail_eps, pmf_grid, validate_bandwidth
 
 __all__ = [
     "Sample",
@@ -222,82 +222,137 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
     return PmfEstimate(raw.eval_lo, raw.eval_hi, raw.values / total, total, True)
 
 
-# Largest (bandwidths x targets x distinct values) block that one pass of
-# cv_score_grid builds.  A sample whose grid exceeds it for a single
-# bandwidth runs one bandwidth per pass, so its peak memory stays that of
-# cv_score.
+# Largest (bandwidths x targets x distinct values) block that one batched
+# pass of the CV evaluator builds.  A sample whose grid exceeds it for a
+# single bandwidth runs one bandwidth per pass, so its peak memory stays
+# that of cv_score.
 _CV_GRID_CELLS = 1 << 16
 
 # The first CV term's range is extended in steps of _TAIL_STEP rows; one
 # kernel grid serves _TAIL_STEPS_PER_GRID steps.
 _TAIL_STEP = 16
 _TAIL_STEPS_PER_GRID = 4
+_TAIL_ROWS = _TAIL_STEP * _TAIL_STEPS_PER_GRID
 
 # Largest target the first CV term may reach.  The dense (target x distinct
 # value) grids grow with it, so samples with values near it are refused.
 _CV_MAX_TARGET = 100_000
 
 
-def _check_cv_sample(sample: Sample) -> None:
-    if sample.n < 2:
-        raise ValueError("cross-validation needs at least two observations")
+class _CvEvaluator:
+    """CV(h) of one sample under one kernel, at any number of bandwidths.
 
+    The sample and ``tail_eps`` are checked once, and the h-independent
+    kernel terms of each target range (0..default_eval_hi, then each tail
+    extension) are built on first use and kept for the evaluator's
+    lifetime, so each bandwidth pays only its h-dependent arithmetic.
+    """
 
-def _cv_targets(sample: Sample) -> np.ndarray:
-    return np.arange(0, default_eval_hi(sample) + 1)
+    def __init__(self, sample: Sample, kernel: KernelSpec, tail_eps: float = 1e-12):
+        if sample.n < 2:
+            raise ValueError("cross-validation needs at least two observations")
+        _validate_tail_eps(tail_eps)
+        self.sample = sample
+        self.kernel = kernel
+        self.tail_eps = tail_eps
+        self.us, self.cs, self.n = sample.distinct_values, sample.value_counts, sample.n
+        self.rows = default_eval_hi(sample) + 1
+        self._probe_rows = self.rows
+        self._terms: dict[tuple[int, int], _GridTerms] = {}
 
+    def _grid(self, lo: int, size: int, h) -> np.ndarray:
+        # K_{x,h}(us) on the targets x = lo..lo+size-1
+        terms = self._terms.get((lo, size))
+        if terms is None:
+            terms = self._terms[lo, size] = _GridTerms(self.kernel, np.arange(lo, lo + size), self.us)
+        return pmf_grid(self.kernel, terms, h, self.us)
 
-def _cv_from_grids(sample: Sample, kernel: KernelSpec, hs: list[float], grids: np.ndarray, tail_eps: float) -> list[float]:
-    # grids[i] is K_{x,hs[i]}(us) on the targets x = 0..default_eval_hi.  For
-    # each bandwidth the first term's range grows past that bound, one step
-    # at a time, until the summand at its end is below tail_eps; this
-    # matters for the diffuse families whose mass extends well beyond the
-    # largest observation.  Every observed value is a target, so the rows us
-    # of grids[i] are the pair grid K_{us,h}(us).  A stacked matmul runs one
-    # matrix-vector product per contiguous slice, and the tail steps are
-    # reduced one slice at a time, so a bandwidth's score does not depend on
-    # which bandwidths share its grids.
-    us = sample.distinct_values
-    cs = sample.value_counts
-    n = sample.n
-    parts = [[first] for first in grids @ cs / n]
-    hi = grids.shape[1] - 1
-    extending = [i for i, p in enumerate(parts) if p[-1][-1] > tail_eps]
-    while extending:
-        rows = np.arange(hi + 1, hi + 1 + _TAIL_STEP * _TAIL_STEPS_PER_GRID)
-        more = pmf_grid(kernel, rows, [hs[i] for i in extending], us)
-        for i, grid in zip(extending, more):
-            for step in range(_TAIL_STEPS_PER_GRID):
-                if parts[i][-1][-1] <= tail_eps:
-                    break
-                if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
-                    raise RuntimeError(
-                        f"cross-validation sum failed to truncate: the first term needs targets past "
-                        f"{_CV_MAX_TARGET}, and the sample's largest value is {sample.max_value}"
-                    )
-                parts[i].append(grid[step * _TAIL_STEP : (step + 1) * _TAIL_STEP] @ cs / n)
-        hi += rows.size
-        extending = [i for i in extending if parts[i][-1][-1] > tail_eps]
-    pair_grids = grids[:, us]
-    pair_rows = cs @ pair_grids
-    diagonals = pair_grids.diagonal(axis1=1, axis2=2)
-    scores = []
-    for p, row, diagonal in zip(parts, pair_rows, diagonals):
-        vals = np.concatenate(p) if len(p) > 1 else p[0]
-        pair_sum = float(row @ cs - np.dot(cs, diagonal))
-        scores.append(float(np.dot(vals, vals)) - 2.0 * pair_sum / (n * (n - 1.0)))
-    return scores
+    # The first term's range grows past default_eval_hi, one step at a time,
+    # until the summand at its end is below tail_eps; this matters for the
+    # diffuse families whose mass extends well beyond the largest
+    # observation.  Every observed value is a target, so the rows us of a
+    # bandwidth's grid are the pair grid K_{us,h}(us).  Each bandwidth is
+    # reduced on its own 2-d slice (a stacked matmul runs one matrix-vector
+    # product per contiguous slice), so its score does not depend on which
+    # bandwidths share its grids.
+
+    def score(self, h: float) -> float:
+        # The grid also spans the tail rows the previous call needed, so a
+        # run of nearby bandwidths (the golden-section steps) builds one grid
+        # per bandwidth.
+        grid = self._grid(0, self._probe_rows, h)
+        parts = [grid[: self.rows] @ self.cs / self.n]
+        hi = self.rows - 1
+        while parts[-1][-1] > self.tail_eps:
+            tail = grid[hi + 1 : hi + 1 + _TAIL_ROWS]
+            self._extend(parts, self._step_sums(tail if tail.size else self._grid(hi + 1, _TAIL_ROWS, h)), hi)
+            hi += _TAIL_ROWS
+        if hi >= self._probe_rows:
+            del self._terms[0, self._probe_rows]
+            self._probe_rows = hi + 1
+        pair_grid = grid[self.us]
+        return self._score(parts, self.cs @ pair_grid, pair_grid.diagonal())
+
+    def scores(self, hs: np.ndarray) -> list[float]:
+        # Up to _CV_GRID_CELLS (bandwidth, target, distinct value) cells per
+        # pass; each pass's grids are freed before the next pass builds its
+        # own.
+        per_pass = max(1, _CV_GRID_CELLS // (max(self.rows, _TAIL_ROWS) * self.us.size))
+        scores: list[float] = []
+        for start in range(0, hs.size, per_pass):
+            scores += self._pass(hs[start : start + per_pass].tolist())
+        return scores
+
+    def _pass(self, hs: list[float]) -> list[float]:
+        # One stacked grid for all of hs, and one tail grid per extension
+        # for every bandwidth still extending.
+        grids = self._grid(0, self.rows, hs)
+        parts = [[first] for first in grids @ self.cs / self.n]
+        hi = self.rows - 1
+        extending = [i for i, p in enumerate(parts) if p[-1][-1] > self.tail_eps]
+        while extending:
+            more = self._step_sums(self._grid(hi + 1, _TAIL_ROWS, [hs[i] for i in extending]))
+            for i, steps in zip(extending, more):
+                self._extend(parts[i], steps, hi)
+            hi += _TAIL_ROWS
+            extending = [i for i in extending if parts[i][-1][-1] > self.tail_eps]
+        pair_grids = grids[:, self.us]
+        diagonals = pair_grids.diagonal(axis1=1, axis2=2)
+        return [self._score(*args) for args in zip(parts, self.cs @ pair_grids, diagonals)]
+
+    def _step_sums(self, tail: np.ndarray) -> np.ndarray:
+        # First-term summands of tail grids (..., _TAIL_ROWS, distinct
+        # values), one row per step: a stacked matmul over the steps' slices.
+        steps = tail.reshape(*tail.shape[:-2], _TAIL_STEPS_PER_GRID, _TAIL_STEP, tail.shape[-1])
+        return steps @ self.cs / self.n
+
+    def _extend(self, parts: list[np.ndarray], steps: np.ndarray, hi: int) -> None:
+        # Append the step summands of a tail grid over the targets hi+1..
+        # while the last summand is above tail_eps.
+        for step, summands in enumerate(steps):
+            if parts[-1][-1] <= self.tail_eps:
+                return
+            if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
+                raise RuntimeError(
+                    f"cross-validation sum failed to truncate: the first term needs targets past "
+                    f"{_CV_MAX_TARGET}, and the sample's largest value is {self.sample.max_value}"
+                )
+            parts.append(summands)
+
+    def _score(self, parts: list[np.ndarray], pair_row: np.ndarray, diagonal: np.ndarray) -> float:
+        cs, n = self.cs, self.n
+        vals = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        pair_sum = float(pair_row @ cs - np.dot(cs, diagonal))
+        return float(np.dot(vals, vals)) - 2.0 * pair_sum / (n * (n - 1.0))
 
 
 def cv_score(sample: Sample, kernel: KernelSpec, h: float, tail_eps: float = 1e-12) -> float:
     """Leave-one-out cross-validation score CV(h).
 
     The pair sum runs over ordered pairs of distinct observations, grouped
-    through the value -> count map.  Requires n >= 2.
+    through the value -> count map.  Requires n >= 2 and tail_eps in (0, 1).
     """
-    _check_cv_sample(sample)
-    grid = pmf_grid(kernel, _cv_targets(sample), h, sample.distinct_values)
-    return _cv_from_grids(sample, kernel, [h], grid[None], tail_eps)[0]
+    return _CvEvaluator(sample, kernel, tail_eps).score(h)
 
 
 def cv_score_grid(sample: Sample, kernel: KernelSpec, hs, tail_eps: float = 1e-12) -> np.ndarray:
@@ -307,20 +362,11 @@ def cv_score_grid(sample: Sample, kernel: KernelSpec, hs, tail_eps: float = 1e-1
     2^16 (bandwidth, target, distinct value) cells per pass; entry i equals
     ``cv_score(sample, kernel, hs[i], tail_eps)`` bit for bit.
     """
-    _check_cv_sample(sample)
+    evaluator = _CvEvaluator(sample, kernel, tail_eps)
     hs = np.asarray(hs, dtype=np.float64)
     if hs.ndim != 1:
         raise ValueError(f"bandwidths must be a 1-d array, got shape {hs.shape}")
-    xs = _cv_targets(sample)
-    us = sample.distinct_values
-    per_pass = max(1, _CV_GRID_CELLS // (max(xs.size, _TAIL_STEP * _TAIL_STEPS_PER_GRID) * us.size))
-    scores: list[float] = []
-    for start in range(0, hs.size, per_pass):
-        chunk = hs[start : start + per_pass]
-        # The grids are passed as a temporary, so each pass frees them
-        # before the next pass builds its own.
-        scores += _cv_from_grids(sample, kernel, chunk.tolist(), pmf_grid(kernel, xs, chunk, us), tail_eps)
-    return np.array(scores)
+    return np.array(evaluator.scores(hs))
 
 
 def select_bandwidth(
@@ -328,18 +374,20 @@ def select_bandwidth(
     kernel: KernelSpec,
     config: SearchConfig | None = None,
 ) -> BandwidthSelection:
-    """Minimise CV(h): coarse log-spaced scan (evaluated in batches by
-    ``cv_score_grid``), then golden-section refinement inside the bracket
-    around the grid minimum.
+    """Minimise CV(h): coarse log-spaced scan (evaluated in batches), then
+    golden-section refinement inside the bracket around the grid minimum.
+    Every evaluation goes through one CV evaluator, which computes the
+    h-independent kernel terms once per selection.
 
     Returns the best bandwidth over every evaluated point; exact ties go to
     the smaller h.
     """
     cfg = config if config is not None else default_search_config(kernel.family)
     validate_bandwidth(kernel, cfg.h_max)
+    evaluator = _CvEvaluator(sample, kernel)
     hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
-    scores = cv_score_grid(sample, kernel, hs)
-    evaluated = list(zip(hs.tolist(), scores.tolist()))
+    scores = evaluator.scores(hs)
+    evaluated = list(zip(hs.tolist(), scores))
     i = int(np.argmin(scores))
 
     if cfg.refine_iterations > 0:
@@ -348,7 +396,7 @@ def select_bandwidth(
         invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
         def probe(t: float) -> float:
-            score = cv_score(sample, kernel, math.exp(t))
+            score = evaluator.score(math.exp(t))
             evaluated.append((math.exp(t), score))
             return score
 

@@ -138,12 +138,101 @@ def _validate_targets(xs: np.ndarray) -> None:
         raise ValueError("kernel targets must be non-negative integers")
 
 
+def _validate_tail_eps(tail_eps: float) -> None:
+    if not 0.0 < tail_eps < 1.0:
+        raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps!r}")
+
+
+class _GridTerms:
+    """The h-independent terms of one kernel's grid on fixed targets (rows)
+    and points (columns).
+
+    In the standard families these log terms come first in the log mass,
+    which is summed left to right, so adding the h-dependent terms to them
+    gives the grid bit for bit.  Callers that evaluate one grid at many
+    bandwidths build this once and pass it to ``pmf_grid`` as the targets.
+    """
+
+    __slots__ = ("kernel", "X", "parts", "support")
+
+    def __init__(self, kernel: KernelSpec, xs, ys):
+        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+        ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
+        _validate_targets(xs)
+        X = xs[:, None]
+        Y = ys[None, :]
+        self.kernel = kernel
+        self.X = X
+        self.support = None
+        fam = kernel.family
+        if fam is KernelFamily.DIRAC:
+            self.parts = ((X == Y).astype(np.float64),)
+        elif fam is KernelFamily.TRIANGULAR:
+            self.parts = (np.abs(Y - X),)
+        elif fam is KernelFamily.POISSON:
+            Yc = np.maximum(Y, 0.0)
+            self.parts = (Yc, gammaln(Yc + 1.0))
+            self.support = Y >= 0
+        elif fam is KernelFamily.BINOMIAL:
+            m = X + 1.0
+            Yc = np.minimum(np.maximum(Y, 0.0), m)
+            coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(m - Yc + 1.0)
+            self.parts = (m, Yc, m - Yc, coef)
+            self.support = (Y >= 0) & (Y <= m)
+        else:
+            r = _negbin_params(X, 0.0)[0]  # r does not depend on h
+            Yc = np.maximum(Y, 0.0)
+            self.parts = (Yc, gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r))
+            self.support = Y >= 0
+        if self.support is not None and self.support.all():
+            self.support = None  # masking would copy the grid unchanged
+
+    def at(self, hs: np.ndarray) -> np.ndarray:
+        """The grid at a validated scalar or 1-d array of bandwidths."""
+        fam = self.kernel.family
+        X = self.X
+
+        if fam is KernelFamily.DIRAC:
+            (grid,) = self.parts
+            return np.repeat(grid[None], hs.size, axis=0) if hs.ndim else grid
+
+        if fam is KernelFamily.TRIANGULAR:
+            # One bandwidth at a time: a scalar exponent keeps every power
+            # identical to the scalar call, which an array exponent does not.
+            (d,) = self.parts
+            arm = self.kernel.arm
+            if hs.ndim:
+                return np.array([_triangular_grid(arm, d, float(v)) for v in hs]).reshape(hs.size, *d.shape)
+            return _triangular_grid(arm, d, float(hs))
+
+        # The standard families broadcast over a leading bandwidth axis.
+        h = hs[:, None, None] if hs.ndim else float(hs)
+
+        if fam is KernelFamily.POISSON:
+            Yc, log_factorial = self.parts
+            lam = X + h
+            logp = xlogy(Yc, lam) - lam - log_factorial
+        elif fam is KernelFamily.BINOMIAL:
+            m, Yc, rest, log_coef = self.parts
+            p = (X + h) / m
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logp = log_coef + xlogy(Yc, p) + xlog1py(rest, -p)
+        else:
+            Yc, log_coef = self.parts
+            r, q = _negbin_params(X, h)
+            logp = log_coef + r * np.log(q) + xlogy(Yc, 1.0 - q)
+        mass = np.exp(logp)
+        return mass if self.support is None else np.where(self.support, mass, 0.0)
+
+
 def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
     """Kernel mass K_{x,h}(y) on the grid targets-by-points.
 
     Parameters
     ----------
-    xs : array-like of non-negative integer targets (rows).
+    xs : array-like of non-negative integer targets (rows), or the
+        ``_GridTerms`` of this kernel on the targets and ``ys``, whose
+        h-independent terms are then reused (``ys`` is then not read).
     h : bandwidth, or a 1-d array of bandwidths; each is validated against
         the family.
     ys : array-like of integer evaluation points (columns); points outside
@@ -160,58 +249,8 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
         raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
     for value in hs.flat:
         validate_bandwidth(kernel, float(value))
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
-    _validate_targets(xs)
-    X = xs[:, None]
-    Y = ys[None, :]
-    fam = kernel.family
-
-    if fam is KernelFamily.DIRAC:
-        grid = (X == Y).astype(np.float64)
-        return np.repeat(grid[None], hs.size, axis=0) if hs.ndim else grid
-
-    if fam is KernelFamily.TRIANGULAR:
-        # One bandwidth at a time: a scalar exponent keeps every power
-        # identical to the scalar call, which an array exponent does not.
-        d = np.abs(Y - X)
-        if hs.ndim:
-            return np.array([_triangular_grid(kernel.arm, d, float(v)) for v in hs]).reshape(hs.size, *d.shape)
-        return _triangular_grid(kernel.arm, d, float(hs))
-
-    # The standard families broadcast over a leading bandwidth axis.
-    h = hs[:, None, None] if hs.ndim else float(hs)
-
-    if fam is KernelFamily.POISSON:
-        lam = X + h
-        Yc = np.maximum(Y, 0.0)
-        logp = xlogy(Yc, lam) - lam - gammaln(Yc + 1.0)
-        return np.where(Y >= 0, np.exp(logp), 0.0)
-
-    if fam is KernelFamily.BINOMIAL:
-        m = X + 1.0
-        p = (X + h) / m
-        Yc = np.minimum(np.maximum(Y, 0.0), m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = (
-                gammaln(m + 1.0)
-                - gammaln(Yc + 1.0)
-                - gammaln(m - Yc + 1.0)
-                + xlogy(Yc, p)
-                + xlog1py(m - Yc, -p)
-            )
-        return np.where((Y >= 0) & (Y <= m), np.exp(logp), 0.0)
-
-    r, q = _negbin_params(X, h)
-    Yc = np.maximum(Y, 0.0)
-    logp = (
-        gammaln(Yc + r)
-        - gammaln(Yc + 1.0)
-        - gammaln(r)
-        + r * np.log(q)
-        + xlogy(Yc, 1.0 - q)
-    )
-    return np.where(Y >= 0, np.exp(logp), 0.0)
+    terms = xs if isinstance(xs, _GridTerms) else _GridTerms(kernel, xs, ys)
+    return terms.at(hs)
 
 
 def _negbin_params(x, h):
@@ -260,8 +299,7 @@ def kernel_support(kernel: KernelSpec, x: int, h: float, tail_eps: float = 1e-12
     """
     validate_bandwidth(kernel, h)
     _validate_targets(np.asarray([x], dtype=float))
-    if not 0.0 < tail_eps < 1.0:
-        raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps!r}")
+    _validate_tail_eps(tail_eps)
     fam = kernel.family
     if fam is KernelFamily.DIRAC:
         return SupportRange(x, x, x, 0.0)

@@ -349,6 +349,102 @@ class TestBatchedCv:
                 assert sel.cv_curve == curve
 
 
+def hex_curve(curve):
+    return [(h.hex(), score.hex()) for h, score in curve]
+
+
+class TestCvEvaluator:
+    @pytest.mark.parametrize("tail_eps", [float("nan"), 0.0, -1.0, 2.0])
+    def test_tail_eps_outside_unit_interval_rejected(self, tail_eps):
+        sample = E.Sample.from_values([0, 1, 1, 3])
+        for kernel in (P, NB):
+            with pytest.raises(ValueError, match=r"tail_eps must be in \(0, 1\)"):
+                E.cv_score(sample, kernel, 4.0, tail_eps=tail_eps)
+            with pytest.raises(ValueError, match=r"tail_eps must be in \(0, 1\)"):
+                E.cv_score_grid(sample, kernel, [0.5, 4.0], tail_eps=tail_eps)
+
+    @pytest.mark.parametrize("kernel", [D, B, P, NB, T1, K.triangular(3)])
+    def test_cached_terms_give_the_grid_bitwise(self, kernel):
+        xs, ys = np.arange(0, 40), np.array([0, 1, 2, 5, 9, 17, 33, 45])
+        terms = K._GridTerms(kernel, xs, ys)
+        hs = [0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 9)
+        np.testing.assert_array_equal(K.pmf_grid(kernel, terms, hs, ys), K.pmf_grid(kernel, xs, hs, ys))
+        for h in hs:
+            np.testing.assert_array_equal(K.pmf_grid(kernel, terms, h, ys), K.pmf_grid(kernel, xs, h, ys))
+
+    def test_terms_built_once_per_target_range(self, monkeypatch):
+        # one selection builds the h-independent terms of each target range
+        # once, however many bandwidths it evaluates
+        built = []
+
+        class CountingTerms(K._GridTerms):
+            def __init__(self, kernel, xs, ys):
+                built.append((int(xs[0]), len(xs)))
+                super().__init__(kernel, xs, ys)
+
+        monkeypatch.setattr(E, "_GridTerms", CountingTerms)
+        sample = E.Sample.from_values([0, 1, 1, 2, 3, 3, 4, 7])
+        sel = E.select_bandwidth(sample, P, E.SearchConfig(3.0, 6.0, grid_points=16, refine_iterations=8))
+        assert len(sel.cv_curve) == 26
+        rows = E.default_eval_hi(sample) + 1
+        # the grid pass, its first tail, then the steps' grid spanning both
+        assert built[:3] == [(0, rows), (rows, E._TAIL_ROWS), (0, rows + E._TAIL_ROWS)]
+        assert len(built) == len(set(built)) < 6
+
+    def test_scores_match_naive_double_loop(self):
+        rng = np.random.default_rng(12)
+        for kernel, hs in [(B, [0.05, 0.6]), (P, [0.3, 4.8]), (NB, [0.2, 5.0]), (K.triangular(2), [0.4, 3.0])]:
+            for _ in range(3):
+                values = rng.poisson(2.0, rng.integers(2, 18)).tolist()
+                sample = E.Sample.from_values(values)
+                evaluator = E._CvEvaluator(sample, kernel)
+                got = evaluator.scores(np.array(hs)) + [evaluator.score(h) for h in hs]
+                for h, score in zip(hs + hs, got):
+                    naive = naive_cv(values, kernel, h, E.default_eval_hi(sample) + 80)
+                    assert score == pytest.approx(naive, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [P, NB])
+    def test_tail_extending_selection_equals_reference(self, kernel):
+        # a search domain around h = 5 makes every probe extend the first
+        # term past default_eval_hi
+        cfg = E.SearchConfig(3.0, 6.0, grid_points=16, refine_iterations=12)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            values = rng.poisson(1.5, rng.integers(8, 40)).tolist()
+            sample = E.Sample.from_values(values)
+            assert E.kernel_estimate_raw(sample, kernel, 5.0).values[-1] > 1e-12
+            sel = E.select_bandwidth(sample, kernel, cfg)
+            h_cv, curve = reference_select(sample, kernel, cfg)
+            assert sel.h_cv.hex() == h_cv.hex()
+            assert hex_curve(sel.cv_curve) == hex_curve(curve)
+
+    @pytest.mark.parametrize("kernel", [B, P, NB, K.triangular(2)])
+    def test_wide_sample_selection_equals_reference(self, kernel):
+        # wider than the cell budget for one bandwidth: the grid pass runs
+        # one bandwidth per pass
+        sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 300, 300))
+        assert (E.default_eval_hi(sample) + 1) * len(sample.distinct_values) > E._CV_GRID_CELLS
+        cfg = E.default_search_config(kernel.family)
+        cfg = E.SearchConfig(cfg.h_min, cfg.h_max, grid_points=16, refine_iterations=6)
+        sel = E.select_bandwidth(sample, kernel, cfg)
+        h_cv, curve = reference_select(sample, kernel, cfg)
+        assert sel.h_cv.hex() == h_cv.hex()
+        assert hex_curve(sel.cv_curve) == hex_curve(curve)
+
+    def test_triangular_arm2_selection_equals_reference(self):
+        from dks.risk import PoissonPmf
+        from dks.simulation import replicate_stream, sample_from_pmf
+
+        kernel = K.triangular(2)
+        for r, cfg in enumerate([E.default_search_config(kernel.family), E.SearchConfig(0.5, 10.0)] * 3):
+            n = (15, 25, 50)[r % 3]
+            sample = sample_from_pmf(PoissonPmf(2.0), n, replicate_stream(17, n, r))
+            sel = E.select_bandwidth(sample, kernel, cfg)
+            h_cv, curve = reference_select(sample, kernel, cfg)
+            assert sel.h_cv.hex() == h_cv.hex()
+            assert hex_curve(sel.cv_curve) == hex_curve(curve)
+
+
 class TestSelectBandwidth:
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
