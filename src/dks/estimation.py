@@ -288,7 +288,7 @@ class _CvEvaluator:
             self._extend(parts, self._step_sums(tail if tail.size else self._grid(hi + 1, _TAIL_ROWS, h)), hi)
             hi += _TAIL_ROWS
         if hi >= self._probe_rows:
-            del self._terms[0, self._probe_rows]
+            del self._terms[0, self._probe_rows]  # later calls build the wider grid
             self._probe_rows = hi + 1
         pair_grid = grid[self.us]
         return self._score(parts, self.cs @ pair_grid, pair_grid.diagonal())
