@@ -257,7 +257,6 @@ class _CvEvaluator:
         self.tail_eps = tail_eps
         self.us, self.cs, self.n = sample.distinct_values, sample.value_counts, sample.n
         self.rows = default_eval_hi(sample) + 1
-        self._probe_rows = self.rows
         self._terms: dict[tuple[int, int], _GridTerms] = {}
 
     def _grid(self, lo: int, size: int, h) -> np.ndarray:
@@ -277,21 +276,7 @@ class _CvEvaluator:
     # bandwidths share its grids.
 
     def score(self, h: float) -> float:
-        # The grid also spans the tail rows the previous call needed, so a
-        # run of nearby bandwidths (the golden-section steps) builds one grid
-        # per bandwidth.
-        grid = self._grid(0, self._probe_rows, h)
-        parts = [grid[: self.rows] @ self.cs / self.n]
-        hi = self.rows - 1
-        while parts[-1][-1] > self.tail_eps:
-            tail = grid[hi + 1 : hi + 1 + _TAIL_ROWS]
-            self._extend(parts, self._step_sums(tail if tail.size else self._grid(hi + 1, _TAIL_ROWS, h)), hi)
-            hi += _TAIL_ROWS
-        if hi >= self._probe_rows:
-            del self._terms[0, self._probe_rows]  # later calls build the wider grid
-            self._probe_rows = hi + 1
-        pair_grid = grid[self.us]
-        return self._score(parts, self.cs @ pair_grid, pair_grid.diagonal())
+        return self._pass([h])[0]
 
     def scores(self, hs: np.ndarray) -> list[float]:
         # Up to _CV_GRID_CELLS (bandwidth, target, distinct value) cells per
@@ -305,45 +290,37 @@ class _CvEvaluator:
 
     def _pass(self, hs: list[float]) -> list[float]:
         # One stacked grid for all of hs, and one tail grid per extension
-        # for every bandwidth still extending.
+        # for every bandwidth still extending.  A stacked matmul sums a tail
+        # grid's 16-row steps, one matrix-vector product per step.
+        cs, n = self.cs, self.n
         grids = self._grid(0, self.rows, hs)
-        parts = [[first] for first in grids @ self.cs / self.n]
+        parts = [[first] for first in grids @ cs / n]
         hi = self.rows - 1
         extending = [i for i, p in enumerate(parts) if p[-1][-1] > self.tail_eps]
         while extending:
-            more = self._step_sums(self._grid(hi + 1, _TAIL_ROWS, [hs[i] for i in extending]))
-            for i, steps in zip(extending, more):
-                self._extend(parts[i], steps, hi)
+            tails = self._grid(hi + 1, _TAIL_ROWS, [hs[i] for i in extending])
+            sums = tails.reshape(len(extending), _TAIL_STEPS_PER_GRID, _TAIL_STEP, -1) @ cs / n
+            for i, steps in zip(extending, sums):
+                for step, summands in enumerate(steps):
+                    if parts[i][-1][-1] <= self.tail_eps:
+                        break
+                    if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
+                        raise RuntimeError(
+                            f"cross-validation sum failed to truncate: the first term needs targets past "
+                            f"{_CV_MAX_TARGET}, and the sample's largest value is {self.sample.max_value}"
+                        )
+                    parts[i].append(summands)
             hi += _TAIL_ROWS
             extending = [i for i in extending if parts[i][-1][-1] > self.tail_eps]
         pair_grids = grids[:, self.us]
+        pair_rows = cs @ pair_grids
         diagonals = pair_grids.diagonal(axis1=1, axis2=2)
-        return [self._score(*args) for args in zip(parts, self.cs @ pair_grids, diagonals)]
-
-    def _step_sums(self, tail: np.ndarray) -> np.ndarray:
-        # First-term summands of tail grids (..., _TAIL_ROWS, distinct
-        # values), one row per step: a stacked matmul over the steps' slices.
-        steps = tail.reshape(*tail.shape[:-2], _TAIL_STEPS_PER_GRID, _TAIL_STEP, tail.shape[-1])
-        return steps @ self.cs / self.n
-
-    def _extend(self, parts: list[np.ndarray], steps: np.ndarray, hi: int) -> None:
-        # Append the step summands of a tail grid over the targets hi+1..
-        # while the last summand is above tail_eps.
-        for step, summands in enumerate(steps):
-            if parts[-1][-1] <= self.tail_eps:
-                return
-            if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
-                raise RuntimeError(
-                    f"cross-validation sum failed to truncate: the first term needs targets past "
-                    f"{_CV_MAX_TARGET}, and the sample's largest value is {self.sample.max_value}"
-                )
-            parts.append(summands)
-
-    def _score(self, parts: list[np.ndarray], pair_row: np.ndarray, diagonal: np.ndarray) -> float:
-        cs, n = self.cs, self.n
-        vals = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        pair_sum = float(pair_row @ cs - np.dot(cs, diagonal))
-        return float(np.dot(vals, vals)) - 2.0 * pair_sum / (n * (n - 1.0))
+        scores = []
+        for p, row, diagonal in zip(parts, pair_rows, diagonals):
+            vals = np.concatenate(p) if len(p) > 1 else p[0]
+            pair_sum = float(row @ cs - np.dot(cs, diagonal))
+            scores.append(float(np.dot(vals, vals)) - 2.0 * pair_sum / (n * (n - 1.0)))
+        return scores
 
 
 def cv_score(sample: Sample, kernel: KernelSpec, h: float, tail_eps: float = 1e-12) -> float:

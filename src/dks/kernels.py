@@ -187,6 +187,11 @@ class _GridTerms:
         if self.support is not None and self.support.all():
             self.support = None  # masking would copy the grid unchanged
 
+    @property
+    def size(self) -> int:
+        """The number of targets, as ``np.size`` of the targets would give."""
+        return self.X.shape[0]
+
     def at(self, hs: np.ndarray) -> np.ndarray:
         """The grid at a validated scalar or 1-d array of bandwidths."""
         fam = self.kernel.family
@@ -232,7 +237,8 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
     ----------
     xs : array-like of non-negative integer targets (rows), or the
         ``_GridTerms`` of this kernel on the targets and ``ys``, whose
-        h-independent terms are then reused (``ys`` is then not read).
+        h-independent terms are then reused.  ``ys`` must then be the points
+        the terms were built on; it is not read again.
     h : bandwidth, or a 1-d array of bandwidths; each is validated against
         the family.
     ys : array-like of integer evaluation points (columns); points outside
@@ -249,8 +255,11 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
         raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
     for value in hs.flat:
         validate_bandwidth(kernel, float(value))
-    terms = xs if isinstance(xs, _GridTerms) else _GridTerms(kernel, xs, ys)
-    return terms.at(hs)
+    if isinstance(xs, _GridTerms):
+        if xs.kernel != kernel:
+            raise ValueError(f"grid terms were built for {xs.kernel.label}, not {kernel.label}")
+        return xs.at(hs)
+    return _GridTerms(kernel, xs, ys).at(hs)
 
 
 def _negbin_params(x, h):

@@ -14,7 +14,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +74,11 @@ class PoissonPmf(TruePmf):
         return float(result) if result.ndim == 0 else result
 
     def tail_cutoff(self, eps: float = 1e-12) -> int:
-        return _poisson_tail_cutoff(self.mu, eps)
+        # Poisson(mu) is the poisson kernel at target 0 with bandwidth mu.
+        return _tail_index(poisson(), 0, self.mu, eps)[0]
 
     def label(self) -> str:
         return f"poisson(mu={self.mu:g})"
-
-
-@functools.lru_cache(maxsize=1024)
-def _poisson_tail_cutoff(mu: float, eps: float) -> int:
-    # Poisson(mu) is the poisson kernel at target 0 with bandwidth mu.  The
-    # (mu, eps) key hashes several times faster than a KernelSpec, whose
-    # family hashes through Python-level Enum.__hash__.
-    return _tail_index(poisson(), 0, mu, eps)[0]
 
 
 class TabulatedPmf(TruePmf):

@@ -372,6 +372,21 @@ class TestCvEvaluator:
         for h in hs:
             np.testing.assert_array_equal(K.pmf_grid(kernel, terms, h, ys), K.pmf_grid(kernel, xs, h, ys))
 
+    def test_terms_for_another_kernel_rejected(self):
+        xs, ys = np.arange(0, 10), np.array([0, 2, 3])
+        terms = K._GridTerms(P, xs, ys)
+        with pytest.raises(ValueError, match="built for poisson, not negbin"):
+            K.pmf_grid(NB, terms, 1.0, ys)
+        with pytest.raises(ValueError, match="not triangular"):
+            K.pmf_grid(K.triangular(2), K._GridTerms(T1, xs, ys), [1.0, 2.0], ys)
+
+    def test_terms_size_is_the_target_count(self):
+        # np.size reads it, so code that counts grid cells from the
+        # arguments of pmf_grid counts the same cells for terms as for targets
+        xs, ys = np.arange(3, 40), np.array([0, 2, 3, 9])
+        terms = K._GridTerms(B, xs, ys)
+        assert np.size(terms) * np.size(ys) == K.pmf_grid(B, terms, 0.5, ys).size
+
     def test_terms_built_once_per_target_range(self, monkeypatch):
         # one selection builds the h-independent terms of each target range
         # once, however many bandwidths it evaluates
@@ -387,9 +402,9 @@ class TestCvEvaluator:
         sel = E.select_bandwidth(sample, P, E.SearchConfig(3.0, 6.0, grid_points=16, refine_iterations=8))
         assert len(sel.cv_curve) == 26
         rows = E.default_eval_hi(sample) + 1
-        # the grid pass, its first tail, then the steps' grid spanning both
-        assert built[:3] == [(0, rows), (rows, E._TAIL_ROWS), (0, rows + E._TAIL_ROWS)]
-        assert len(built) == len(set(built)) < 6
+        # the grid pass and its first tail; the steps reuse their terms
+        assert built[:2] == [(0, rows), (rows, E._TAIL_ROWS)]
+        assert len(built) == len(set(built)) < 5
 
     def test_scores_match_naive_double_loop(self):
         rng = np.random.default_rng(12)
