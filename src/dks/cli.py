@@ -9,7 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import reproduce
 from .data_io import builtin_dataset, load_counts, write_report
@@ -79,12 +82,14 @@ def _load_data(token: str) -> Sample:
     return load_counts(path, fmt).sample
 
 
-def _print_table(headers, rows, stream=None) -> None:
-    stream = stream or sys.stdout
+def _print_table(headers, rows, out=None) -> None:
+    """Print the rows as aligned columns; with ``out``, also write them there as CSV."""
     table = [headers] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     for r in table:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip(), file=stream)
+        print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    if out:
+        _write_csv(out, headers, rows)
 
 
 def _fmt(x, digits: int = 6) -> str:
@@ -121,9 +126,7 @@ def _cmd_estimate(args) -> int:
         if args.normalize:
             row.append(_fmt(norm.values[i], 12) if norm is not None else "-")
         rows.append(row)
-    _print_table(headers, rows)
-    if args.out:
-        _write_csv(args.out, headers, rows)
+    _print_table(headers, rows, args.out)
     return 0
 
 
@@ -143,9 +146,7 @@ def _cmd_cv(args) -> int:
     sel = select_bandwidth(sample, kernel, config)
     print(f"# kernel={kernel.label} n={sample.n} h_cv={_fmt(sel.h_cv, 12)}")
     rows = [[_fmt(h, 12), _fmt(score, 12)] for h, score in sel.cv_curve]
-    _print_table(["h", "cv"], rows)
-    if args.out:
-        _write_csv(args.out, ["h", "cv"], rows)
+    _print_table(["h", "cv"], rows, args.out)
     return 0
 
 
@@ -185,25 +186,17 @@ def _cmd_risk(args) -> int:
     print(f"amise:                   {_fmt(breakdown.amise, 12)}")
     print(f"frequency mise:          {_fmt(frequency_mise(f, args.n), 12)}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["x", "bias", "variance", "bias_off_target", "variance_remainder"],
-            [
-                [x, _fmt(bv, 12), _fmt(vv, 12), _fmt(qv, 12), _fmt(rv, 12)]
-                for x, bv, vv, qv, rv in zip(
-                    breakdown.x_values,
-                    breakdown.bias,
-                    breakdown.variance,
-                    breakdown.bias_off_target,
-                    breakdown.variance_remainder,
-                )
-            ],
-        )
+        # one column per per-target array, x_values first
+        names = [f.name for f in fields(breakdown) if np.ndim(getattr(breakdown, f.name))]
+        columns = zip(*(getattr(breakdown, name) for name in names))
+        _write_csv(args.out, ["x", *names[1:]], [[x, *(_fmt(v, 12) for v in vals)] for x, *vals in columns])
     return 0
 
 
 def _cmd_kernel_info(args) -> int:
     kernel = _parse_kernel(args.kernel, args.p)
+    if args.x_max < 0:
+        raise _UsageError(f"--x-max must be >= 0, got {args.x_max}")
     xs = range(0, args.x_max + 1)
     headers = ["x", "h", "modal_prob", "mean", "variance", "modal_limit", "r_pois_binom", "r_negbin_pois"]
     rows = []
@@ -225,9 +218,7 @@ def _cmd_kernel_info(args) -> int:
                     _fmt(r2, 12),
                 ]
             )
-    _print_table(headers, rows)
-    if args.out:
-        _write_csv(args.out, headers, rows)
+    _print_table(headers, rows, args.out)
     return 0
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .estimation import Sample
@@ -149,28 +149,6 @@ _CSV_COLUMNS = [
 ]
 
 
-def _report_dict(report: StudyReport) -> dict:
-    return {
-        "truth": report.truth,
-        "replicates": report.replicates,
-        "seed": report.seed,
-        "normalize": report.normalize,
-        "cells": [
-            {
-                "kernel": c.kernel,
-                "n": c.n,
-                "mean_mise": c.mean_mise,
-                "ibias": c.ibias,
-                "ivar": c.ivar,
-                "h_mean": c.h_mean,
-                "h_sd": c.h_sd,
-                "h_values": c.h_values,
-            }
-            for c in report.cells
-        ],
-    }
-
-
 def write_report(report: StudyReport, fmt: str, destination) -> None:
     """Serialize a study report.
 
@@ -189,22 +167,11 @@ def write_report(report: StudyReport, fmt: str, destination) -> None:
             # header goes out even for an empty study
             writer.writerow(_CSV_COLUMNS)
             for c in report.cells:
-                writer.writerow(
-                    [
-                        c.kernel,
-                        c.n,
-                        f"{c.h_mean:.6g}",
-                        f"{c.h_sd:.6g}",
-                        f"{c.mean_mise:.6g}",
-                        f"{c.ibias:.6g}",
-                        f"{c.ivar:.6g}",
-                        f"{c.mean_mise * 1e3:.6g}",
-                        f"{c.ibias * 1e3:.6g}",
-                        f"{c.ivar * 1e3:.6g}",
-                    ]
-                )
+                reals = (c.h_mean, c.h_sd, c.mean_mise, c.ibias, c.ivar,
+                         c.mean_mise * 1e3, c.ibias * 1e3, c.ivar * 1e3)
+                writer.writerow([c.kernel, c.n, *(f"{x:.6g}" for x in reals)])
         else:
-            json.dump(_report_dict(report), stream, indent=2)
+            json.dump(asdict(report), stream, indent=2)
             stream.write("\n")
     finally:
         if own:

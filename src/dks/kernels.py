@@ -168,7 +168,7 @@ class _GridTerms:
         if fam is KernelFamily.DIRAC:
             self.parts = ((X == Y).astype(np.float64),)
         elif fam is KernelFamily.TRIANGULAR:
-            self.parts = (np.abs(Y - X),)
+            self.parts = (np.abs(Y - X), np.arange(1.0, kernel.arm + 1.0))
         elif fam is KernelFamily.POISSON:
             Yc = np.maximum(Y, 0.0)
             self.parts = (Yc, gammaln(Yc + 1.0))
@@ -204,11 +204,10 @@ class _GridTerms:
         if fam is KernelFamily.TRIANGULAR:
             # One bandwidth at a time: a scalar exponent keeps every power
             # identical to the scalar call, which an array exponent does not.
-            (d,) = self.parts
-            arm = self.kernel.arm
+            d, k = self.parts
             if hs.ndim:
-                return np.array([_triangular_grid(arm, d, float(v)) for v in hs]).reshape(hs.size, *d.shape)
-            return _triangular_grid(arm, d, float(hs))
+                return np.array([_triangular_grid(k, d, float(v)) for v in hs]).reshape(hs.size, *d.shape)
+            return _triangular_grid(k, d, float(hs))
 
         # The standard families broadcast over a leading bandwidth axis.
         h = hs[:, None, None] if hs.ndim else float(hs)
@@ -268,13 +267,14 @@ def _negbin_params(x, h):
     return r, r / (2.0 * x + 1.0 + h)
 
 
-def _triangular_normalizer(arm: int, h: float) -> float:
-    return (2 * arm + 1) * (arm + 1.0) ** h - 2.0 * np.sum(np.arange(1.0, arm + 1.0) ** h)
+def _triangular_normalizer(k: np.ndarray, h: float) -> float:
+    # k = 1..arm, built once per grid or moment
+    return (2 * k.size + 1) * (k.size + 1.0) ** h - 2.0 * np.sum(k**h)
 
 
-def _triangular_grid(arm: int, d: np.ndarray, h: float) -> np.ndarray:
-    out = ((arm + 1.0) ** h - d**h) / _triangular_normalizer(arm, h)
-    return np.where(d <= arm, out, 0.0)
+def _triangular_grid(k: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
+    out = ((k.size + 1.0) ** h - d**h) / _triangular_normalizer(k, h)
+    return np.where(d <= k.size, out, 0.0)
 
 
 def kernel_pmf(kernel: KernelSpec, x: int, h: float, y: int) -> float:
@@ -382,7 +382,7 @@ def kernel_variance(kernel: KernelSpec, x: int, h: float) -> float:
         return (xf + h) * (2.0 * xf + 1.0 + h) / (xf + 1.0)
     p = kernel.arm
     k = np.arange(1.0, p + 1.0)
-    return float(2.0 * np.sum(k**2 * ((p + 1.0) ** h - k**h)) / _triangular_normalizer(p, h))
+    return float(2.0 * np.sum(k**2 * ((p + 1.0) ** h - k**h)) / _triangular_normalizer(k, h))
 
 
 def modal_limit_ratio_poisson_binomial(x: int) -> float:

@@ -93,7 +93,6 @@ class TabulatedPmf(TruePmf):
         if abs(vals.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities must sum to 1, got {vals.sum()!r}")
         self.values = vals
-        self._cutoffs: dict[float, int] = {}
 
     def pmf(self, x):
         x = np.asarray(x)
@@ -106,11 +105,9 @@ class TabulatedPmf(TruePmf):
         return float(out) if out.ndim == 0 else out
 
     def tail_cutoff(self, eps: float = 1e-12) -> int:
-        if eps not in self._cutoffs:
-            tail = np.concatenate([np.cumsum(self.values[::-1])[::-1][1:], [0.0]])
-            idx = np.nonzero(tail <= eps)[0]
-            self._cutoffs[eps] = int(idx[0]) if idx.size else len(self.values) - 1
-        return self._cutoffs[eps]
+        tail = np.concatenate([np.cumsum(self.values[::-1])[::-1][1:], [0.0]])
+        idx = np.nonzero(tail <= eps)[0]
+        return int(idx[0]) if idx.size else len(self.values) - 1
 
     def label(self) -> str:
         return f"tabulated[0..{len(self.values) - 1}]"

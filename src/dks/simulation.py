@@ -169,12 +169,6 @@ def run_replicate(config: SimulationConfig, kernel: KernelSpec, n: int, replicat
     return ReplicateResult(h, ise(est, config.true_pmf), est)
 
 
-def _worker(args) -> tuple[int, float, float, np.ndarray]:
-    config, kernel, n, rep = args
-    r = run_replicate(config, kernel, n, rep)
-    return rep, r.h_cv, r.ise, r.estimate.values
-
-
 def _workers_from_env() -> int:
     """Worker processes for run_study: DKS_THREADS, an integer in
     [1, cpu count], default 1."""
@@ -207,26 +201,27 @@ def run_study(config: SimulationConfig) -> StudyReport:
     )
     truth_hi = config.true_pmf.tail_cutoff(1e-12)
     cells = [(kernel, n) for kernel in config.kernels for n in config.sample_sizes]
+    R = config.replicates
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    chunk = max(1, config.replicates // (workers * 4))
+    chunk = max(1, R // (workers * 4))
     try:
-        # Every cell's jobs are queued up front, so the workers go on to the
-        # next cell while this process aggregates the previous one.
+        # Every cell's jobs are queued up front, so the workers go on to the next cell while
+        # this process aggregates the previous one.  Both maps yield results in replicate order.
         pending = []
         for kernel, n in cells:
-            jobs = [(config, kernel, n, rep) for rep in range(config.replicates)]
-            pending.append(map(_worker, jobs) if pool is None else pool.map(_worker, jobs, chunksize=chunk))
+            jobs = ([config] * R, [kernel] * R, [n] * R, range(R))
+            pending.append(pool.map(run_replicate, *jobs, chunksize=chunk) if pool else map(run_replicate, *jobs))
         for (kernel, n), cell_results in zip(cells, pending):
-            results = sorted(cell_results, key=lambda t: t[0])
-            hs = np.array([r[1] for r in results])
-            ises = np.array([r[2] for r in results])
-            width = max(max(len(r[3]) for r in results), truth_hi + 1)
+            results = list(cell_results)
+            hs = np.array([r.h_cv for r in results])
+            ises = np.array([r.ise for r in results])
+            width = max(max(len(r.estimate.values) for r in results), truth_hi + 1)
             total = np.zeros(width)
             total_sq = np.zeros(width)
-            for _, _, _, vals in results:
+            for r in results:
+                vals = r.estimate.values
                 total[: len(vals)] += vals
                 total_sq[: len(vals)] += vals * vals
-            R = config.replicates
             mean_vals = total / R
             xs = np.arange(0, width)
             fx = config.true_pmf.pmf(xs)

@@ -153,6 +153,7 @@ class TestRisk:
         assert code == 0
         rows = list(csv.DictReader(open(out_path)))
         assert {"x", "bias", "variance", "bias_off_target", "variance_remainder"} == set(rows[0])
+        assert out_path.read_text().splitlines()[0] == "x,bias,variance,bias_off_target,variance_remainder"
 
     def test_missing_h_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "risk", "--true", "poisson:2", "--kernel", "poisson", "--n", "25")
@@ -168,6 +169,12 @@ class TestKernelInfo:
         rows = list(csv.DictReader(open(out_path)))
         assert len(rows) == 5 * 2
         assert float(rows[0]["modal_prob"]) == pytest.approx(0.9, abs=1e-9)
+
+    def test_negative_x_max_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "kernel-info", "--kernel", "binomial", "--x-max", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --x-max must be >= 0, got -1\n"
 
 
 class TestReproduce:

@@ -145,6 +145,62 @@ class TestWriteReport:
         assert cell["h_values"] == report.cells[0].h_values
         assert data["seed"] == 11 and data["normalize"] is True
 
+    def _two_cell_report(self):
+        cells = [
+            StudyCell("dirac", 15, 0.0123456789, 0.0, 0.0123456789, 0.0, 0.0, [0.0, 0.0]),
+            StudyCell("triangular(p=1)", 25, 0.00875, 0.0025, 0.00625, 1.5, 0.25, [1.25, 1.75]),
+        ]
+        return StudyReport(truth="poisson(mu=2)", replicates=2, seed=11, normalize=False, cells=cells)
+
+    def test_json_text_is_pinned(self):
+        buf = io.StringIO()
+        D.write_report(self._two_cell_report(), "json", buf)
+        assert buf.getvalue() == (
+            "{\n"
+            '  "truth": "poisson(mu=2)",\n'
+            '  "replicates": 2,\n'
+            '  "seed": 11,\n'
+            '  "normalize": false,\n'
+            '  "cells": [\n'
+            "    {\n"
+            '      "kernel": "dirac",\n'
+            '      "n": 15,\n'
+            '      "mean_mise": 0.0123456789,\n'
+            '      "ibias": 0.0,\n'
+            '      "ivar": 0.0123456789,\n'
+            '      "h_mean": 0.0,\n'
+            '      "h_sd": 0.0,\n'
+            '      "h_values": [\n'
+            "        0.0,\n"
+            "        0.0\n"
+            "      ]\n"
+            "    },\n"
+            "    {\n"
+            '      "kernel": "triangular(p=1)",\n'
+            '      "n": 25,\n'
+            '      "mean_mise": 0.00875,\n'
+            '      "ibias": 0.0025,\n'
+            '      "ivar": 0.00625,\n'
+            '      "h_mean": 1.5,\n'
+            '      "h_sd": 0.25,\n'
+            '      "h_values": [\n'
+            "        1.25,\n"
+            "        1.75\n"
+            "      ]\n"
+            "    }\n"
+            "  ]\n"
+            "}\n"
+        )
+
+    def test_csv_text_is_pinned(self):
+        buf = io.StringIO()
+        D.write_report(self._two_cell_report(), "csv", buf)
+        assert buf.getvalue() == (
+            "kernel,n,h_mean,h_sd,mean_mise,ibias,ivar,mise_x1000,ibias_x1000,ivar_x1000\n"
+            "dirac,15,0,0,0.0123457,0,0.0123457,12.3457,0,12.3457\n"
+            "triangular(p=1),25,1.5,0.25,0.00875,0.0025,0.00625,8.75,2.5,6.25\n"
+        )
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             D.write_report(make_report(), "yaml", io.StringIO())

@@ -131,6 +131,12 @@ class TestRunStudy:
         with pytest.raises(KeyError):
             report.cell("poisson", 25)
 
+    def test_h_values_in_replicate_order(self):
+        cfg = small_config(replicates=6, kernels=(K.binomial(),))
+        want = [S.run_replicate(cfg, K.binomial(), 25, rep).h_cv for rep in range(6)]
+        assert len(set(want)) > 1
+        assert S.run_study(cfg).cells[0].h_values == want
+
     def test_parallel_equals_serial(self, monkeypatch):
         cfg = small_config(replicates=6, sample_sizes=(15, 25))
         serial = S.run_study(cfg)

@@ -1,0 +1,84 @@
+"""Record the output of a fixed set of ``dks`` commands run from a source tree.
+
+Usage: python3 tools/cli_identity.py TREE OUTDIR
+
+Each command runs in a subprocess with ``TREE/src`` on the path, in its own
+working directory ``OUTDIR/<name>``.  That directory then holds ``stdout``,
+``stderr``, ``exit`` (the exit code) and any file the command wrote; ``--out``
+paths are relative, so the path that ``simulate`` echoes is the same for
+every tree.  Two trees give the same CLI output when
+
+    diff -r OUTDIR_A OUTDIR_B
+
+prints nothing.  The set covers every table of ``reproduce``, a study written
+as CSV and as JSON, serial and pooled, ``estimate``, ``cv``, ``kernel-info``
+and ``risk`` for the kernel families with a bandwidth, and one usage error
+(a negative ``--x-max``).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_KERNELS = ("binomial", "poisson", "negbin", "triangular", "triangular:2")
+_SIMULATE = ["simulate", "--true", "poisson:2", "--sizes", "15,25", "--replicates", "20",
+             "--kernels", "dirac,binomial,poisson,negbin,triangular:1", "--seed", "7"]
+
+
+def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
+    """(name, dks arguments, extra environment) for each command."""
+    cmds = [(f"reproduce-{t}", ["reproduce", "--table", str(t)], {}) for t in (1, 2, 3, 5)]
+    for fmt in ("csv", "json"):
+        for threads in ("1", "2"):
+            cmds.append((f"simulate-{fmt}-threads{threads}",
+                         _SIMULATE + ["--format", fmt, "--out", f"study.{fmt}"],
+                         {"DKS_THREADS": threads}))
+    for k in _KERNELS:
+        tag = k.replace(":", "")
+        cmds.append((f"estimate-hura-{tag}",
+                     ["estimate", "--data", "builtin:hura", "--kernel", k, "--cv", "--normalize",
+                      "--out", "out.csv"], {}))
+        cmds.append((f"cv-safou-{tag}",
+                     ["cv", "--data", "builtin:safou", "--kernel", k, "--out", "out.csv"], {}))
+    for k in ("triangular", "triangular:2", "binomial", "negbin"):
+        tag = k.replace(":", "")
+        cmds.append((f"kernel-info-{tag}",
+                     ["kernel-info", "--kernel", k, "--x-max", "12", "--h-list", "0.1,0.5,1",
+                      "--out", "out.csv"], {}))
+        cmds.append((f"risk-{tag}",
+                     ["risk", "--true", "poisson:2", "--kernel", k, "--h", "0.3", "--n", "25",
+                      "--out", "out.csv"], {}))
+    cmds.append(("kernel-info-negative-x-max", ["kernel-info", "--kernel", "binomial", "--x-max", "-1"], {}))
+    return cmds
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/cli_identity.py TREE OUTDIR", file=sys.stderr)
+        return 1
+    src = Path(argv[0]).resolve() / "src"
+    outdir = Path(argv[1])
+    if not (src / "dks").is_dir():
+        print(f"no dks package under {src}", file=sys.stderr)
+        return 1
+    if outdir.exists():
+        print(f"{outdir} exists; give a new directory", file=sys.stderr)
+        return 1
+    for name, args, extra in _commands():
+        workdir = outdir / name
+        workdir.mkdir(parents=True)
+        env = {**os.environ, "PYTHONPATH": str(src), "DKS_THREADS": "1", **extra}
+        proc = subprocess.run([sys.executable, "-m", "dks", *args], cwd=workdir, env=env,
+                              capture_output=True, check=False)
+        (workdir / "stdout").write_bytes(proc.stdout)
+        (workdir / "stderr").write_bytes(proc.stderr)
+        (workdir / "exit").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
