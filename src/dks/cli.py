@@ -7,6 +7,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from dataclasses import fields
@@ -39,26 +40,36 @@ from .risk import PoissonPmf, exact_mise, frequency_mise
 from .simulation import SimulationConfig, run_study
 
 _KERNEL_NAMES = tuple(f.value for f in KernelFamily)
+_KERNEL_HELP = "dirac, binomial, poisson, negbin, triangular[:P]"
 
 
 class _UsageError(Exception):
     pass
 
 
-def _parse_kernel(token: str, arm: int = 1) -> KernelSpec:
+@contextlib.contextmanager
+def _usage_errors(prefix: str = ""):
+    """Report a ValueError that a library constructor or validator raises on a flag value as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(f"{prefix}{exc}") from None
+
+
+def _parse_kernel(token: str) -> KernelSpec:
     name, _, suffix = token.partition(":")
     if name not in _KERNEL_NAMES:
         raise _UsageError(f"unknown kernel {token!r}; choose from {', '.join(_KERNEL_NAMES)}")
-    if suffix:
-        if name != "triangular":
+    if name != "triangular":
+        if suffix:
             raise _UsageError(f"only the triangular kernel takes an arm suffix, got {token!r}")
-        try:
-            arm = int(suffix)
-        except ValueError:
-            raise _UsageError(f"bad triangular arm in {token!r}") from None
-    if name == "triangular":
+        return KernelSpec(KernelFamily(name))
+    try:
+        arm = int(suffix or 1)
+    except ValueError:
+        raise _UsageError(f"bad triangular arm in {token!r}") from None
+    with _usage_errors():
         return KernelSpec(KernelFamily.TRIANGULAR, arm=arm)
-    return KernelSpec(KernelFamily(name))
 
 
 def _parse_true(token: str):
@@ -69,7 +80,8 @@ def _parse_true(token: str):
         mu = float(value)
     except ValueError:
         raise _UsageError(f"bad mean in {token!r}") from None
-    return PoissonPmf(mu)
+    with _usage_errors():
+        return PoissonPmf(mu)
 
 
 def _load_data(token: str) -> Sample:
@@ -107,13 +119,15 @@ def _write_csv(path, headers, rows) -> None:
 
 def _cmd_estimate(args) -> int:
     sample = _load_data(args.data)
-    kernel = _parse_kernel(args.kernel, args.p)
+    kernel = _parse_kernel(args.kernel)
     if kernel.family is KernelFamily.DIRAC:
         h = 0.0
     elif args.cv:
         h = select_bandwidth(sample, kernel).h_cv
     elif args.h is not None:
         h = args.h
+        with _usage_errors():
+            validate_bandwidth(kernel, h)
     else:
         raise _UsageError("choose a bandwidth with --h or select one with --cv")
     raw = kernel_estimate_raw(sample, kernel, h)
@@ -132,17 +146,15 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_cv(args) -> int:
     sample = _load_data(args.data)
-    kernel = _parse_kernel(args.kernel, args.p)
+    kernel = _parse_kernel(args.kernel)
     base = default_search_config(kernel.family)
-    try:
+    with _usage_errors("bad search domain: "):
         config = SearchConfig(
             h_min=args.h_min if args.h_min is not None else base.h_min,
             h_max=args.h_max if args.h_max is not None else base.h_max,
             grid_points=args.grid,
         )
         validate_bandwidth(kernel, config.h_max)
-    except ValueError as exc:
-        raise _UsageError(f"bad search domain: {exc}") from None
     sel = select_bandwidth(sample, kernel, config)
     print(f"# kernel={kernel.label} n={sample.n} h_cv={_fmt(sel.h_cv, 12)}")
     rows = [[_fmt(h, 12), _fmt(score, 12)] for h, score in sel.cv_curve]
@@ -151,14 +163,15 @@ def _cmd_cv(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = SimulationConfig(
-        true_pmf=_parse_true(args.true),
-        sample_sizes=tuple(args.sizes),
-        replicates=args.replicates,
-        kernels=tuple(_parse_kernel(tok) for tok in args.kernels),
-        seed=args.seed,
-        normalize=args.normalize,
-    )
+    with _usage_errors():
+        config = SimulationConfig(
+            true_pmf=_parse_true(args.true),
+            sample_sizes=tuple(args.sizes),
+            replicates=args.replicates,
+            kernels=tuple(_parse_kernel(tok) for tok in args.kernels),
+            seed=args.seed,
+            normalize=args.normalize,
+        )
     report = run_study(config)
     headers = ["kernel", "n", "h_mean", "h_sd", "mean_mise", "ibias", "ivar"]
     rows = [
@@ -174,17 +187,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_risk(args) -> int:
     f = _parse_true(args.true)
-    kernel = _parse_kernel(args.kernel, args.p)
+    kernel = _parse_kernel(args.kernel)
     h = 0.0 if kernel.family is KernelFamily.DIRAC else args.h
     if h is None:
         raise _UsageError("--h is required for non-dirac kernels")
+    with _usage_errors():
+        validate_bandwidth(kernel, h)
+        freq_mise = frequency_mise(f, args.n)  # checks n
     breakdown = exact_mise(kernel, h, f, args.n)
     print(f"# kernel={kernel.label} h={_fmt(h)} n={args.n} truth={f.label()}")
     print(f"integrated squared bias: {_fmt(breakdown.integrated_squared_bias, 12)}")
     print(f"integrated variance:     {_fmt(breakdown.integrated_variance, 12)}")
     print(f"mise:                    {_fmt(breakdown.mise, 12)}")
     print(f"amise:                   {_fmt(breakdown.amise, 12)}")
-    print(f"frequency mise:          {_fmt(frequency_mise(f, args.n), 12)}")
+    print(f"frequency mise:          {_fmt(freq_mise, 12)}")
     if args.out:
         # one column per per-target array, x_values first
         names = [f.name for f in fields(breakdown) if np.ndim(getattr(breakdown, f.name))]
@@ -194,9 +210,13 @@ def _cmd_risk(args) -> int:
 
 
 def _cmd_kernel_info(args) -> int:
-    kernel = _parse_kernel(args.kernel, args.p)
+    kernel = _parse_kernel(args.kernel)
     if args.x_max < 0:
         raise _UsageError(f"--x-max must be >= 0, got {args.x_max}")
+    h_list = [0.0] if kernel.family is KernelFamily.DIRAC else args.h_list
+    with _usage_errors():
+        for h in h_list:
+            validate_bandwidth(kernel, h)
     xs = range(0, args.x_max + 1)
     headers = ["x", "h", "modal_prob", "mean", "variance", "modal_limit", "r_pois_binom", "r_negbin_pois"]
     rows = []
@@ -204,7 +224,6 @@ def _cmd_kernel_info(args) -> int:
         limit = modal_limit(kernel, x)
         r1 = modal_limit_ratio_poisson_binomial(x)
         r2 = modal_limit_ratio_negbin_poisson(x)
-        h_list = [0.0] if kernel.family is KernelFamily.DIRAC else args.h_list
         for h in h_list:
             rows.append(
                 [
@@ -276,18 +295,13 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _add_common_kernel_args(parser, default_p: int = 1) -> None:
-    parser.add_argument("--kernel", required=True, help="dirac, binomial, poisson, negbin, triangular[:P]")
-    parser.add_argument("--p", type=int, default=default_p, help="triangular arm (default 1)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dks", description="Discrete-kernel estimation of count-data p.m.f.s")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", help="estimate a p.m.f. from count data")
     p_est.add_argument("--data", required=True, help="path to a count file or builtin:NAME")
-    _add_common_kernel_args(p_est)
+    p_est.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     group = p_est.add_mutually_exclusive_group()
     group.add_argument("--h", type=float, help="fixed bandwidth")
     group.add_argument("--cv", action="store_true", help="select the bandwidth by cross-validation")
@@ -297,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("cv", help="cross-validation bandwidth selection")
     p_cv.add_argument("--data", required=True)
-    _add_common_kernel_args(p_cv)
+    p_cv.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p_cv.add_argument("--h-min", type=float, dest="h_min")
     p_cv.add_argument("--h-max", type=float, dest="h_max")
     p_cv.add_argument("--grid", type=int, default=64)
@@ -317,14 +331,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_risk = sub.add_parser("risk", help="exact risk of the raw estimator")
     p_risk.add_argument("--true", required=True, help="poisson:MU")
-    _add_common_kernel_args(p_risk)
+    p_risk.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p_risk.add_argument("--h", type=float)
     p_risk.add_argument("--n", type=int, required=True)
     p_risk.add_argument("--out")
     p_risk.set_defaults(func=_cmd_risk)
 
     p_info = sub.add_parser("kernel-info", help="kernel shape and comparison tables")
-    _add_common_kernel_args(p_info)
+    p_info.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p_info.add_argument("--x-max", type=int, dest="x_max", default=10)
     p_info.add_argument("--h-list", dest="h_list", default="0.1",
                         type=lambda s: [float(t) for t in s.split(",")])

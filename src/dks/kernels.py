@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammaln, xlog1py, xlogy
+from scipy.special import gammaln, nbdtrc, pdtrc, xlog1py, xlogy
 
 __all__ = [
     "KernelFamily",
@@ -286,16 +285,16 @@ def kernel_pmf(kernel: KernelSpec, x: int, h: float, y: int) -> float:
 def _tail_index(kernel: KernelSpec, x: int, h: float, tail_eps: float) -> tuple[int, float]:
     # Smallest k with survival mass P(Y > k) <= tail_eps for a poisson or
     # negbin kernel, scanned downward from a generous starting bound.  Cached
-    # because risk sweeps and studies repeat the same few scipy sf scans.
+    # because risk sweeps and studies repeat the same few survival scans.
     if kernel.family is KernelFamily.POISSON:
-        dist = stats.poisson(x + h)
+        survival, params = pdtrc, (x + h,)
     else:
-        dist = stats.nbinom(*_negbin_params(x, h))
+        survival, params = nbdtrc, _negbin_params(x, h)
     mean, var = kernel_mean(kernel, x, h), kernel_variance(kernel, x, h)
     hi = int(math.ceil(mean + 10.0 * math.sqrt(max(var, 1.0)))) + 1
-    while dist.sf(hi) > tail_eps:
+    while survival(hi, *params) > tail_eps:
         hi = 2 * hi + 8
-    sf = dist.sf(np.arange(0, hi + 1))
+    sf = survival(np.arange(0, hi + 1), *params)
     idx = int(np.argmax(sf <= tail_eps))
     return idx, float(sf[idx])
 

@@ -218,19 +218,17 @@ def table3_rows(report: StudyReport) -> list[dict]:
     return rows
 
 
-def restricted_ise(sample: Sample, kernel: KernelSpec, h: float, normalize: bool = True) -> float:
-    """ISE of the estimate against the empirical frequencies, both taken on
-    the observed range [min, max] of the sample."""
+def restricted_ise(sample: Sample, kernel: KernelSpec, h: float) -> float:
+    """ISE of the estimate, normalized on the observed range [min, max] of
+    the sample, against the empirical frequencies on that range."""
     lo, hi = sample.min_value, sample.max_value
-    est = kernel_estimate_raw(sample, kernel, h, lo, hi)
-    if normalize:
-        est = normalize_estimate(est)
+    est = normalize_estimate(kernel_estimate_raw(sample, kernel, h, lo, hi))
     return ise(est, frequency_estimate(sample, lo, hi))
 
 
 def table5_rows() -> list[dict]:
-    """Per (dataset, kernel): ISE at the reference bandwidth in both
-    normalization modes, plus this library's own selection and its ISE."""
+    """Per (dataset, kernel): ISE at the reference bandwidth, plus this
+    library's own selection and its ISE."""
     kernels = (negbin(), poisson(), binomial(), triangular(1))
     rows = []
     for ds_name in ("safou", "hura"):
@@ -238,10 +236,9 @@ def table5_rows() -> list[dict]:
         own = []
         for kern in kernels:
             ref_ise, ref_h = REFERENCE_TABLE5[(ds_name, kern.label)]
-            at_ref_norm = restricted_ise(sample, kern, ref_h, normalize=True)
-            at_ref_raw = restricted_ise(sample, kern, ref_h, normalize=False)
+            at_ref = restricted_ise(sample, kern, ref_h)
             h_own = select_bandwidth(sample, kern).h_cv
-            ise_own = restricted_ise(sample, kern, h_own, normalize=True)
+            ise_own = restricted_ise(sample, kern, h_own)
             own.append(ise_own)
             rows.append(
                 {
@@ -249,9 +246,8 @@ def table5_rows() -> list[dict]:
                     "kernel": kern.label,
                     "reference_ise": ref_ise,
                     "reference_h": ref_h,
-                    "ise_at_reference_h": at_ref_norm,
-                    "rel_err": (at_ref_norm - ref_ise) / ref_ise,
-                    "ise_at_reference_h_raw": at_ref_raw,
+                    "ise_at_reference_h": at_ref,
+                    "rel_err": (at_ref - ref_ise) / ref_ise,
                     "own_h": h_own,
                     "own_ise": ise_own,
                 }

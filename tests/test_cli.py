@@ -39,6 +39,32 @@ class TestHelpAndUsage:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--true", "poisson:2", "--sizes", "15", "--replicates", "0", "--kernels", "dirac"],
+             "replicates must be >= 1"),
+            (["simulate", "--true", "poisson:2", "--sizes", "1", "--replicates", "2", "--kernels", "dirac"],
+             "sample sizes must be >= 2"),
+            (["estimate", "--data", "builtin:safou", "--kernel", "poisson", "--h", "-1"],
+             "poisson kernel needs h > 0, got -1.0"),
+            (["kernel-info", "--kernel", "binomial", "--h-list", "0.5,1.5"],
+             "binomial kernel needs h in (0, 1], got 1.5"),
+            (["risk", "--true", "poisson:2", "--kernel", "poisson", "--h", "0.3", "--n", "0"],
+             "n must be >= 1"),
+            (["risk", "--true", "poisson:-1", "--kernel", "poisson", "--h", "0.3", "--n", "25"],
+             "mu must be positive"),
+            (["cv", "--data", "builtin:safou", "--kernel", "triangular:0"],
+             "triangular kernel needs an integer arm >= 1"),
+        ],
+        ids=["replicates", "sizes", "estimate-h", "h-list", "risk-n", "true-mu", "triangular-arm"],
+    )
+    def test_out_of_range_flag_value_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_unknown_table_rejected(self, capsys):
         code, _, _ = run(capsys, "reproduce", "--table", "4")
         assert code == 1

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,33 @@ class TestSupport:
         assert 1.0 - mass <= 1e-12
         shorter = K.pmf_grid(P, [2], 0.1, np.arange(0, sup.truncation_hi))[0].sum()
         assert 1.0 - shorter > 1e-12  # truncation_hi is the smallest such bound
+
+    @pytest.mark.parametrize("kernel", [P, NB])
+    @pytest.mark.parametrize("x", [0, 1, 7, 20, 300])
+    def test_truncation_is_first_index_below_scipy_stats_sf(self, kernel, x):
+        # scipy.stats is an independent oracle here; the package does not use it
+        from scipy import stats
+
+        ks = np.arange(0, 2000)
+        for h in (1e-4, 0.1, 1.0, 5.0):
+            if kernel is P:
+                sf = stats.poisson.sf(ks, x + h)
+            else:
+                sf = stats.nbinom.sf(ks, x + 1, (x + 1.0) / (2.0 * x + 1.0 + h))
+            for eps in (1e-12, 1e-14, 1e-16):
+                assert sf[-1] <= eps
+                want = int(np.argmax(sf <= eps))
+                sup = K.kernel_support(kernel, x, h, eps)
+                assert sup.truncation_hi == want
+                assert sup.tail_mass_bound == pytest.approx(sf[want], rel=1e-9)
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is most of a cold start's import time and memory
+        src = str(Path(K.__file__).resolve().parents[1])
+        code = "import sys, dks, dks.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
 
     def test_tail_eps_validated(self):
         with pytest.raises(ValueError):

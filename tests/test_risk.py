@@ -137,6 +137,19 @@ class TestExactMise:
             recon = br.amise + float(np.sum(q_contrib) + np.sum(br.variance_remainder))
             assert recon == pytest.approx(br.mise, abs=1e-10)
 
+    @pytest.mark.parametrize("kernel", [B, P, NB, T1])
+    def test_per_target_pieces_match_scalar_functions(self, kernel):
+        h, n = 0.2, 25
+        br = R.exact_mise(kernel, h, F2, n)
+        for i, x in enumerate(br.x_values):
+            x = int(x)
+            assert br.bias[i] == pytest.approx(R.exact_bias(kernel, h, F2, x), abs=1e-12)
+            assert br.variance[i] == pytest.approx(R.exact_variance(kernel, h, F2, n, x), abs=1e-12)
+            assert br.bias_off_target[i] == pytest.approx(R.bias_off_target(kernel, h, F2, x), abs=1e-12)
+            assert br.variance_remainder[i] == pytest.approx(
+                R.variance_remainder(kernel, h, F2, n, x), abs=1e-12
+            )
+
     def test_small_h_mise_ranking(self):
         ms = [R.exact_mise(k, 0.05, F2, 1000).mise for k in (B, P, NB)]
         assert ms[0] <= ms[1] <= ms[2]

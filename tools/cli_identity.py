@@ -12,8 +12,11 @@ every tree.  Two trees give the same CLI output when
 
 prints nothing.  The set covers every table of ``reproduce``, a study written
 as CSV and as JSON, serial and pooled, ``estimate``, ``cv``, ``kernel-info``
-and ``risk`` for the kernel families with a bandwidth, and one usage error
-(a negative ``--x-max``).
+and ``risk`` for the kernel families with a bandwidth, and the usage errors
+of flag values out of range (a negative ``--x-max``, a zero replicate count,
+a sample size below 2, a negative ``--h``, a binomial ``--h-list`` value
+above 1, a zero ``--n``, a negative Poisson mean and a triangular arm of 0),
+so that their exit codes and messages are pinned too.
 """
 
 from __future__ import annotations
@@ -52,6 +55,17 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
                      ["risk", "--true", "poisson:2", "--kernel", k, "--h", "0.3", "--n", "25",
                       "--out", "out.csv"], {}))
     cmds.append(("kernel-info-negative-x-max", ["kernel-info", "--kernel", "binomial", "--x-max", "-1"], {}))
+    sim = ["simulate", "--true", "poisson:2", "--kernels", "dirac"]
+    cmds += [
+        ("simulate-zero-replicates", sim + ["--sizes", "15", "--replicates", "0"], {}),
+        ("simulate-size-one", sim + ["--sizes", "1"], {}),
+        ("estimate-negative-h", ["estimate", "--data", "builtin:hura", "--kernel", "poisson", "--h", "-1"], {}),
+        ("kernel-info-binomial-h-above-one", ["kernel-info", "--kernel", "binomial", "--h-list", "1.5"], {}),
+        ("risk-zero-n", ["risk", "--true", "poisson:2", "--kernel", "poisson", "--h", "0.3", "--n", "0"], {}),
+        ("risk-negative-mean", ["risk", "--true", "poisson:-1", "--kernel", "poisson", "--h", "0.3",
+                                "--n", "25"], {}),
+        ("cv-triangular-arm-zero", ["cv", "--data", "builtin:safou", "--kernel", "triangular:0"], {}),
+    ]
     return cmds
 
 
