@@ -2,13 +2,15 @@
 # Command-line front end: estimation, bandwidth selection, risk analytics,
 # kernel inspection, and reference-table reproduction.
 #
-# Exit codes: 0 success, 1 usage error, 2 runtime error.
+# Exit codes: 0 success, 1 usage error, 2 runtime error, 141 (128 + SIGPIPE)
+# when the reader closes stdout early.
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -41,6 +43,7 @@ from .simulation import SimulationConfig, run_study
 
 _KERNEL_NAMES = tuple(f.value for f in KernelFamily)
 _KERNEL_HELP = "dirac, binomial, poisson, negbin, triangular[:P]"
+_EXIT_BROKEN_PIPE = 128 + 13
 
 
 class _UsageError(Exception):
@@ -94,6 +97,14 @@ def _load_data(token: str) -> Sample:
     return load_counts(path, fmt).sample
 
 
+def _fixed_bandwidth(kernel: KernelSpec, h: float | None) -> float | None:
+    """A given bandwidth flag, checked against the family; the dirac kernel runs at 0."""
+    if h is not None:
+        with _usage_errors():
+            validate_bandwidth(kernel, h)
+    return 0.0 if kernel.family is KernelFamily.DIRAC else h
+
+
 def _print_table(headers, rows, out=None) -> None:
     """Print the rows as aligned columns; with ``out``, also write them there as CSV."""
     table = [headers] + [[str(c) for c in row] for row in rows]
@@ -120,16 +131,11 @@ def _write_csv(path, headers, rows) -> None:
 def _cmd_estimate(args) -> int:
     sample = _load_data(args.data)
     kernel = _parse_kernel(args.kernel)
-    if kernel.family is KernelFamily.DIRAC:
-        h = 0.0
-    elif args.cv:
+    h = _fixed_bandwidth(kernel, args.h)
+    if h is None:
+        if not args.cv:
+            raise _UsageError("choose a bandwidth with --h or select one with --cv")
         h = select_bandwidth(sample, kernel).h_cv
-    elif args.h is not None:
-        h = args.h
-        with _usage_errors():
-            validate_bandwidth(kernel, h)
-    else:
-        raise _UsageError("choose a bandwidth with --h or select one with --cv")
     raw = kernel_estimate_raw(sample, kernel, h)
     norm = normalize_estimate(raw) if raw.total() > 0 else None
     print(f"# kernel={kernel.label} h={_fmt(h)} n={sample.n} C={_fmt(raw.normalization_constant, 12)}")
@@ -147,7 +153,8 @@ def _cmd_estimate(args) -> int:
 def _cmd_cv(args) -> int:
     sample = _load_data(args.data)
     kernel = _parse_kernel(args.kernel)
-    base = default_search_config(kernel.family)
+    with _usage_errors():
+        base = default_search_config(kernel.family)
     with _usage_errors("bad search domain: "):
         config = SearchConfig(
             h_min=args.h_min if args.h_min is not None else base.h_min,
@@ -188,11 +195,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_risk(args) -> int:
     f = _parse_true(args.true)
     kernel = _parse_kernel(args.kernel)
-    h = 0.0 if kernel.family is KernelFamily.DIRAC else args.h
+    h = _fixed_bandwidth(kernel, args.h)
     if h is None:
         raise _UsageError("--h is required for non-dirac kernels")
     with _usage_errors():
-        validate_bandwidth(kernel, h)
         freq_mise = frequency_mise(f, args.n)  # checks n
     breakdown = exact_mise(kernel, h, f, args.n)
     print(f"# kernel={kernel.label} h={_fmt(h)} n={args.n} truth={f.label()}")
@@ -213,10 +219,8 @@ def _cmd_kernel_info(args) -> int:
     kernel = _parse_kernel(args.kernel)
     if args.x_max < 0:
         raise _UsageError(f"--x-max must be >= 0, got {args.x_max}")
-    h_list = [0.0] if kernel.family is KernelFamily.DIRAC else args.h_list
-    with _usage_errors():
-        for h in h_list:
-            validate_bandwidth(kernel, h)
+    default = 0.0 if kernel.family is KernelFamily.DIRAC else 0.1
+    h_list = [_fixed_bandwidth(kernel, h) for h in args.h_list or [default]]
     xs = range(0, args.x_max + 1)
     headers = ["x", "h", "modal_prob", "mean", "variance", "modal_limit", "r_pois_binom", "r_negbin_pois"]
     rows = []
@@ -340,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info = sub.add_parser("kernel-info", help="kernel shape and comparison tables")
     p_info.add_argument("--kernel", required=True, help=_KERNEL_HELP)
     p_info.add_argument("--x-max", type=int, dest="x_max", default=10)
-    p_info.add_argument("--h-list", dest="h_list", default="0.1",
+    p_info.add_argument("--h-list", dest="h_list", help="bandwidths (default 0.1; 0 for dirac)",
                         type=lambda s: [float(t) for t in s.split(",")])
     p_info.add_argument("--out")
     p_info.set_defaults(func=_cmd_kernel_info)
@@ -364,13 +368,24 @@ def run_cli(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # the caller owns stdout; main() handles a closed pipe
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``dks ... | head``).  Point stdout
+        # at devnull so that the flush at exit does not fail again, and exit
+        # as a shell reports a writer ended by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@
 # The three "standard" families (poisson, binomial, negbin) share mean x + h
 # but keep a non-degenerate shape as h -> 0; the triangular kernel collapses
 # onto its target.  All mass functions are evaluated through log-gamma so
-# targets up to a few thousand stay overflow-free.
+# targets up to a few thousand stay overflow-free.  At each bandwidth a grid
+# takes one logarithm per target row, and a triangular grid fills only its band.
 
 from __future__ import annotations
 
@@ -167,7 +168,9 @@ class _GridTerms:
         if fam is KernelFamily.DIRAC:
             self.parts = ((X == Y).astype(np.float64),)
         elif fam is KernelFamily.TRIANGULAR:
-            self.parts = (np.abs(Y - X), np.arange(1.0, kernel.arm + 1.0))
+            d = np.abs(Y - X)
+            band = np.flatnonzero(d <= kernel.arm)  # the cells where the kernel is not 0
+            self.parts = (d.shape, band, d.ravel()[band], np.arange(1.0, kernel.arm + 1.0))
         elif fam is KernelFamily.POISSON:
             Yc = np.maximum(Y, 0.0)
             self.parts = (Yc, gammaln(Yc + 1.0))
@@ -203,29 +206,41 @@ class _GridTerms:
         if fam is KernelFamily.TRIANGULAR:
             # One bandwidth at a time: a scalar exponent keeps every power
             # identical to the scalar call, which an array exponent does not.
-            d, k = self.parts
-            if hs.ndim:
-                return np.array([_triangular_grid(k, d, float(v)) for v in hs]).reshape(hs.size, *d.shape)
-            return _triangular_grid(k, d, float(hs))
+            shape, band, d, k = self.parts
+            grid = np.zeros((hs.size, shape[0] * shape[1]))
+            for i, v in enumerate(map(float, hs.flat)):
+                grid[i, band] = ((k.size + 1.0) ** v - d**v) / _triangular_normalizer(k, v)
+            grid = grid.reshape(hs.size, *shape)
+            return grid if hs.ndim else grid[0]
 
         # The standard families broadcast over a leading bandwidth axis.
         h = hs[:, None, None] if hs.ndim else float(hs)
 
+        # One logarithm per target row, taken by the function that xlogy(y, .)
+        # calls per cell; log(x + h) and log p are finite for h > 0.
         if fam is KernelFamily.POISSON:
             Yc, log_factorial = self.parts
             lam = X + h
-            logp = xlogy(Yc, lam) - lam - log_factorial
+            logp = Yc * xlogy(1.0, lam) - lam - log_factorial
         elif fam is KernelFamily.BINOMIAL:
             m, Yc, rest, log_coef = self.parts
             p = (X + h) / m
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logp = log_coef + xlogy(Yc, p) + xlog1py(rest, -p)
+            logp = log_coef + Yc * xlogy(1.0, p) + _times_log(rest, xlog1py(1.0, -p))
         else:
             Yc, log_coef = self.parts
             r, q = _negbin_params(X, h)
-            logp = log_coef + r * np.log(q) + xlogy(Yc, 1.0 - q)
+            logp = log_coef + r * np.log(q) + _times_log(Yc, xlogy(1.0, 1.0 - q))
         mass = np.exp(logp)
         return mass if self.support is None else np.where(self.support, mass, 0.0)
+
+
+def _times_log(count: np.ndarray, log_row: np.ndarray) -> np.ndarray:
+    # count * log per cell, but xlogy's 0, not NaN, for a zero count on a row
+    # whose log is -inf (binomial p = 1, negbin q = 1)
+    if log_row.min() > -np.inf:
+        return count * log_row
+    with np.errstate(invalid="ignore"):
+        return np.where(count == 0, 0.0, count * log_row)
 
 
 def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
@@ -269,11 +284,6 @@ def _negbin_params(x, h):
 def _triangular_normalizer(k: np.ndarray, h: float) -> float:
     # k = 1..arm, built once per grid or moment
     return (2 * k.size + 1) * (k.size + 1.0) ** h - 2.0 * np.sum(k**h)
-
-
-def _triangular_grid(k: np.ndarray, d: np.ndarray, h: float) -> np.ndarray:
-    out = ((k.size + 1.0) ** h - d**h) / _triangular_normalizer(k, h)
-    return np.where(d <= k.size, out, 0.0)
 
 
 def kernel_pmf(kernel: KernelSpec, x: int, h: float, y: int) -> float:

@@ -1,7 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dks
 
 from dks.cli import run_cli
 
@@ -201,6 +207,59 @@ class TestKernelInfo:
         assert code == 1
         assert out == ""
         assert err == "usage error: --x-max must be >= 0, got -1\n"
+
+
+class TestDiracBandwidth:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--data", "builtin:safou", "--kernel", "dirac", "--h", "0.7"],
+             "dirac kernel has no bandwidth; h must be 0"),
+            (["risk", "--true", "poisson:2", "--kernel", "dirac", "--h", "0.7", "--n", "25"],
+             "dirac kernel has no bandwidth; h must be 0"),
+            (["kernel-info", "--kernel", "dirac", "--h-list", "0,5"],
+             "dirac kernel has no bandwidth; h must be 0"),
+            (["cv", "--data", "builtin:safou", "--kernel", "dirac"],
+             "the dirac kernel has no bandwidth to select"),
+        ],
+        ids=["estimate-h", "risk-h", "h-list", "cv"],
+    )
+    def test_nonzero_or_selected_bandwidth_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_zero_or_absent_bandwidth_runs_at_zero(self, capsys):
+        base = ["estimate", "--data", "builtin:safou", "--kernel", "dirac"]
+        code, plain, _ = run(capsys, *base)
+        assert code == 0 and plain.startswith("# kernel=dirac h=0 ")
+        assert run(capsys, *base, "--h", "0") == (0, plain, "")
+        risk = ["risk", "--true", "poisson:2", "--kernel", "dirac", "--n", "25"]
+        code, plain, _ = run(capsys, *risk)
+        assert code == 0 and run(capsys, *risk, "--h", "0") == (0, plain, "")
+        code, out, _ = run(capsys, "kernel-info", "--kernel", "dirac", "--x-max", "2")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
+        assert run(capsys, "kernel-info", "--kernel", "dirac", "--x-max", "2", "--h-list", "0") == (0, out, "")
+
+
+class TestBrokenPipe:
+    def test_reader_closing_early_gets_no_error(self, tmp_path):
+        # far more output than a pipe holds, so the writer meets the closed end
+        data = tmp_path / "wide.txt"
+        data.write_text("0\n50000\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(dks.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dks", "estimate", "--data", str(data), "--kernel", "dirac"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"# kernel=dirac h=0 n=2 ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestReproduce:

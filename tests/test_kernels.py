@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlog1py, xlogy
 
 from dks import kernels as K
 from dks.estimation import default_search_config
@@ -101,6 +102,96 @@ class TestPmfValues:
             for i, x in enumerate(xs):
                 for j, y in enumerate(ys):
                     assert grid[i, j] == K.kernel_pmf(kernel, x, h, y)
+
+
+def per_cell_grid(kernel, xs, h, ys):
+    """Oracle: the grid at one bandwidth by per-cell formulas, one xlogy,
+    xlog1py or power per (target, point) cell, in the order of summation
+    that pmf_grid keeps."""
+    X = np.asarray(xs, dtype=np.float64)[:, None]
+    Y = np.asarray(ys, dtype=np.float64)[None, :]
+    fam = kernel.family
+    if fam is K.KernelFamily.TRIANGULAR:
+        p = kernel.arm
+        k = np.arange(1.0, p + 1.0)
+        d = np.abs(Y - X)
+        norm = (2 * p + 1) * (p + 1.0) ** h - 2.0 * np.sum(k**h)
+        return np.where(d <= p, ((p + 1.0) ** h - d**h) / norm, 0.0)
+    Yc = np.maximum(Y, 0.0)
+    if fam is K.KernelFamily.POISSON:
+        lam = X + h
+        logp = xlogy(Yc, lam) - lam - gammaln(Yc + 1.0)
+        support = Y >= 0
+    elif fam is K.KernelFamily.BINOMIAL:
+        m = X + 1.0
+        Yc = np.minimum(Yc, m)
+        p = (X + h) / m
+        coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(m - Yc + 1.0)
+        logp = coef + xlogy(Yc, p) + xlog1py(m - Yc, -p)
+        support = (Y >= 0) & (Y <= m)
+    else:
+        r = X + 1.0
+        q = r / (2.0 * X + 1.0 + h)
+        coef = gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r)
+        logp = coef + r * np.log(q) + xlogy(Yc, 1.0 - q)
+        support = Y >= 0
+    return np.where(support, np.exp(logp), 0.0)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert not np.isnan(got).any()
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestGridBits:
+    # pmf_grid against per-cell formulas written out here, so the bits are
+    # pinned independently of how pmf_grid shares work between cells
+    WIDE_XS = np.arange(0, 501)
+    WIDE_YS = np.unique(np.concatenate([np.arange(-3, 25), np.arange(0, 720, 7), [499, 500, 501, 502]]))
+
+    @pytest.mark.parametrize(
+        "kernel, hs",
+        [
+            (B, [1e-4, 0.03, 0.5, 0.999, 1.0]),
+            (P, [1e-4, 0.03, 0.5, 1.0, 4.7]),
+            (NB, [1e-4, 0.03, 0.5, 1.0, 4.7]),
+            (T1, [1e-4, 0.5, 1.0, 2.0, 9.3]),
+            (K.triangular(2), [1e-4, 0.5, 1.0, 2.0, 9.3]),
+            (K.triangular(3), [1e-4, 0.5, 1.0, 2.0, 9.3]),
+        ],
+        ids=lambda v: v.label if isinstance(v, K.KernelSpec) else None,
+    )
+    def test_wide_grid_scalar_and_array_bandwidths(self, kernel, hs):
+        xs, ys = self.WIDE_XS, self.WIDE_YS
+        wants = [per_cell_grid(kernel, xs, h, ys) for h in hs]
+        for h, want in zip(hs, wants):
+            assert_same_bits(K.pmf_grid(kernel, xs, h, ys), want)
+        assert_same_bits(K.pmf_grid(kernel, xs, np.array(hs), ys), np.stack(wants))
+        terms = K._GridTerms(kernel, xs, ys)
+        assert_same_bits(K.pmf_grid(kernel, terms, np.array(hs), ys), np.stack(wants))
+
+    def test_binomial_where_the_success_probability_rounds_to_one(self):
+        # at h = 1, and where x + h rounds to x + 1 below h = 1, log(1 - p)
+        # is -inf; the point y = x + 1 then carries all the mass
+        x, h = 100_000, 1.0 - 1e-12
+        assert (x + h) / (x + 1.0) == 1.0
+        xs, ys = [0, 3, x - 1, x], np.array([0, 1, 3, 4, 5, x - 1, x, x + 1, x + 2])
+        for hs in (1.0, h, np.array([0.5, 1.0, h])):
+            want = np.stack([per_cell_grid(B, xs, v, ys) for v in np.atleast_1d(hs)])
+            got = K.pmf_grid(B, xs, hs, ys)
+            assert_same_bits(got, want if np.ndim(hs) else want[0])
+        assert K.kernel_pmf(B, x, h, x + 1) == 1.0 and K.kernel_pmf(B, x, h, x) == 0.0
+
+    def test_negbin_small_bandwidth(self):
+        xs, ys = self.WIDE_XS, self.WIDE_YS
+        assert_same_bits(K.pmf_grid(NB, xs, 1e-4, ys), per_cell_grid(NB, xs, 1e-4, ys))
+        # below h = 2**-53, q rounds to 1 at x = 0: log(1 - q) is -inf and
+        # the kernel is the point mass at 0
+        h = 1e-17
+        assert K._negbin_params(0.0, h)[1] == 1.0
+        assert_same_bits(K.pmf_grid(NB, xs, h, ys), per_cell_grid(NB, xs, h, ys))
+        assert K.kernel_pmf(NB, 0, h, 0) == 1.0
 
 
 class TestSupport:

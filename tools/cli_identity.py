@@ -4,9 +4,10 @@ Usage: python3 tools/cli_identity.py TREE OUTDIR
 
 Each command runs in a subprocess with ``TREE/src`` on the path, in its own
 working directory ``OUTDIR/<name>``.  That directory then holds ``stdout``,
-``stderr``, ``exit`` (the exit code) and any file the command wrote; ``--out``
-paths are relative, so the path that ``simulate`` echoes is the same for
-every tree.  Two trees give the same CLI output when
+``stderr``, ``exit`` (the exit code), the input file ``wide.txt`` and any file
+the command wrote; ``--out`` paths are relative, so the path that
+``simulate`` echoes is the same for every tree.  Two trees give the same CLI
+output when
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -17,6 +18,14 @@ of flag values out of range (a negative ``--x-max``, a zero replicate count,
 a sample size below 2, a negative ``--h``, a binomial ``--h-list`` value
 above 1, a zero ``--n``, a negative Poisson mean and a triangular arm of 0),
 so that their exit codes and messages are pinned too.
+
+The built-in samples span at most 35 integers, so the set also runs
+``estimate --cv`` and ``cv`` on ``wide.txt``, a fixed sample spanning 0..400
+(the squares modulo 401, no random numbers), and ``risk`` against a
+Poisson(40) truth, so that grids hundreds of targets wide are compared too.
+The dirac kernel is run at ``h = 0`` and with its default ``--h-list``, and
+with a nonzero ``--h``, a nonzero ``--h-list`` value and ``cv``, which are
+usage errors.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import sys
 from pathlib import Path
 
 _KERNELS = ("binomial", "poisson", "negbin", "triangular", "triangular:2")
+_WIDE = "".join(f"{i * i % 401}\n" for i in range(401))
 _SIMULATE = ["simulate", "--true", "poisson:2", "--sizes", "15,25", "--replicates", "20",
              "--kernels", "dirac,binomial,poisson,negbin,triangular:1", "--seed", "7"]
 
@@ -54,6 +64,23 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
         cmds.append((f"risk-{tag}",
                      ["risk", "--true", "poisson:2", "--kernel", k, "--h", "0.3", "--n", "25",
                       "--out", "out.csv"], {}))
+    for k in ("binomial", "poisson", "negbin", "triangular"):
+        cmds.append((f"estimate-wide-{k}",
+                     ["estimate", "--data", "wide.txt", "--kernel", k, "--cv", "--normalize", "--out", "out.csv"],
+                     {}))
+        cmds.append((f"cv-wide-{k}", ["cv", "--data", "wide.txt", "--kernel", k, "--out", "out.csv"], {}))
+    cmds.append(("risk-poisson40-binomial-h1",
+                 ["risk", "--true", "poisson:40", "--kernel", "binomial", "--h", "1", "--n", "25",
+                  "--out", "out.csv"], {}))
+    dirac = ["--kernel", "dirac"]
+    cmds += [
+        ("estimate-dirac-h0", ["estimate", "--data", "builtin:safou", *dirac, "--h", "0"], {}),
+        ("kernel-info-dirac", ["kernel-info", *dirac, "--x-max", "3"], {}),
+        ("estimate-dirac-h", ["estimate", "--data", "builtin:safou", *dirac, "--h", "0.7"], {}),
+        ("risk-dirac-h", ["risk", "--true", "poisson:2", *dirac, "--h", "0.7", "--n", "25"], {}),
+        ("kernel-info-dirac-h-list", ["kernel-info", *dirac, "--h-list", "5"], {}),
+        ("cv-dirac", ["cv", "--data", "builtin:safou", *dirac], {}),
+    ]
     cmds.append(("kernel-info-negative-x-max", ["kernel-info", "--kernel", "binomial", "--x-max", "-1"], {}))
     sim = ["simulate", "--true", "poisson:2", "--kernels", "dirac"]
     cmds += [
@@ -84,6 +111,7 @@ def main(argv: list[str]) -> int:
     for name, args, extra in _commands():
         workdir = outdir / name
         workdir.mkdir(parents=True)
+        (workdir / "wide.txt").write_text(_WIDE, encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(src), "DKS_THREADS": "1", **extra}
         proc = subprocess.run([sys.executable, "-m", "dks", *args], cwd=workdir, env=env,
                               capture_output=True, check=False)
