@@ -12,7 +12,6 @@ from .estimation import (
     Sample,
     SearchConfig,
     cv_score,
-    cv_score_grid,
     default_eval_hi,
     default_search_config,
     frequency_estimate,
@@ -67,6 +66,6 @@ from .simulation import (
     run_study,
     sample_from_pmf,
 )
-from .data_io import Dataset, builtin_dataset, load_counts, write_counts, write_report
+from .data_io import Dataset, builtin_dataset, load_counts, write_report
 
 __version__ = "0.1.0"

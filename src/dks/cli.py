@@ -13,7 +13,6 @@ import csv
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -90,11 +89,7 @@ def _parse_true(token: str):
 def _load_data(token: str) -> Sample:
     if token.startswith("builtin:"):
         return builtin_dataset(token[len("builtin:"):]).sample
-    path = Path(token)
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    fmt = "value-count" if first.strip().lower().startswith("value") else "raw"
-    return load_counts(path, fmt).sample
+    return load_counts(token).sample
 
 
 def _fixed_bandwidth(kernel: KernelSpec, h: float | None) -> float | None:
@@ -131,11 +126,14 @@ def _write_csv(path, headers, rows) -> None:
 def _cmd_estimate(args) -> int:
     sample = _load_data(args.data)
     kernel = _parse_kernel(args.kernel)
-    h = _fixed_bandwidth(kernel, args.h)
-    if h is None:
-        if not args.cv:
+    if args.cv:
+        with _usage_errors():
+            config = default_search_config(kernel.family)
+        h = select_bandwidth(sample, kernel, config).h_cv
+    else:
+        h = _fixed_bandwidth(kernel, args.h)
+        if h is None:
             raise _UsageError("choose a bandwidth with --h or select one with --cv")
-        h = select_bandwidth(sample, kernel).h_cv
     raw = kernel_estimate_raw(sample, kernel, h)
     norm = normalize_estimate(raw) if raw.total() > 0 else None
     print(f"# kernel={kernel.label} h={_fmt(h)} n={sample.n} C={_fmt(raw.normalization_constant, 12)}")
@@ -370,7 +368,7 @@ def run_cli(argv=None) -> int:
         return 1
     except BrokenPipeError:
         raise  # the caller owns stdout; main() handles a closed pipe
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

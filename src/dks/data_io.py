@@ -16,7 +16,6 @@ __all__ = [
     "Dataset",
     "builtin_dataset",
     "load_counts",
-    "write_counts",
     "write_report",
 ]
 
@@ -60,39 +59,23 @@ def _parse_error(path, lineno: int, message: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: {message}")
 
 
-def load_counts(path, fmt: str = "raw") -> Dataset:
+def load_counts(path) -> Dataset:
     """Read a count dataset from disk.
 
-    ``fmt`` is 'raw' (one non-negative integer per line) or 'value-count'
-    (CSV with header ``value,count``; duplicate values are summed and
-    zero-count rows drop out of the support).
+    A file whose first line starts with 'value' (in any case) is a CSV with
+    header ``value,count``: duplicate values are summed and zero-count rows
+    drop out of the support.  Any other file holds one non-negative integer
+    per line.
     """
     path = Path(path)
-    if fmt == "raw":
-        counts: dict[int, int] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise _parse_error(path, lineno, f"not an integer: {text!r}") from None
-                if value < 0:
-                    raise _parse_error(path, lineno, f"negative value: {value}")
-                counts[value] = counts.get(value, 0) + 1
-        if not counts:
-            raise ValueError(f"{path}: no observations found")
-        return Dataset(path.stem, Sample.from_counts(counts), "file")
-
-    if fmt == "value-count":
-        counts = {}
-        with open(path, encoding="utf-8", newline="") as fh:
+    counts: dict[int, int] = {}
+    # newline="" as csv.reader needs; a raw line drops its ending through strip()
+    with open(path, encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        fh.seek(0)
+        if first.strip().lower().startswith("value"):
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
+            header = next(reader)
             if [c.strip().lower() for c in header] != ["value", "count"]:
                 raise _parse_error(path, 1, f"expected header 'value,count', got {header!r}")
             for lineno, row in enumerate(reader, start=2):
@@ -111,28 +94,21 @@ def load_counts(path, fmt: str = "raw") -> Dataset:
                     raise _parse_error(path, lineno, f"negative count: {count}")
                 if count:
                     counts[value] = counts.get(value, 0) + count
-        if not counts:
-            raise ValueError(f"{path}: no observations found")
-        return Dataset(path.stem, Sample.from_counts(counts), "file")
-
-    raise ValueError(f"unknown format {fmt!r}; use 'raw' or 'value-count'")
-
-
-def write_counts(sample: Sample, path, fmt: str = "value-count") -> None:
-    """Write a sample to disk in one of the load_counts formats."""
-    path = Path(path)
-    if fmt == "raw":
-        lines = []
-        for value, count in sample.counts.items():
-            lines.extend([str(value)] * count)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "value-count":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("value,count\n")
-            for value, count in sample.counts.items():
-                fh.write(f"{value},{count}\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}; use 'raw' or 'value-count'")
+        else:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise _parse_error(path, lineno, f"not an integer: {text!r}") from None
+                if value < 0:
+                    raise _parse_error(path, lineno, f"negative value: {value}")
+                counts[value] = counts.get(value, 0) + 1
+    if not counts:
+        raise ValueError(f"{path}: no observations found")
+    return Dataset(path.stem, Sample.from_counts(counts), "file")
 
 
 _CSV_COLUMNS = [
@@ -149,19 +125,16 @@ _CSV_COLUMNS = [
 ]
 
 
-def write_report(report: StudyReport, fmt: str, destination) -> None:
-    """Serialize a study report.
+def write_report(report: StudyReport, fmt: str, path) -> None:
+    """Write a study report to ``path``.
 
     CSV carries one row per (kernel, n) with 6-significant-digit reals and
     the MISE-scale columns repeated in units of 1e-3; JSON mirrors the
     report structure at full precision, including the bandwidth arrays.
-    ``destination`` is a path or a writable text stream.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}; use 'csv' or 'json'")
-    own = not hasattr(destination, "write")
-    stream = open(destination, "w", encoding="utf-8", newline="") if own else destination
-    try:
+    with open(path, "w", encoding="utf-8", newline="") as stream:
         if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             # header goes out even for an empty study
@@ -173,6 +146,3 @@ def write_report(report: StudyReport, fmt: str, destination) -> None:
         else:
             json.dump(asdict(report), stream, indent=2)
             stream.write("\n")
-    finally:
-        if own:
-            stream.close()

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, _GridTerms, _validate_tail_eps, pmf_grid, validate_bandwidth
+from .kernels import KernelFamily, KernelSpec, _GridTerms, pmf_grid, validate_bandwidth
 
 __all__ = [
     "Sample",
@@ -39,7 +39,6 @@ __all__ = [
     "kernel_estimate_raw",
     "normalize_estimate",
     "cv_score",
-    "cv_score_grid",
     "select_bandwidth",
 ]
 
@@ -127,20 +126,17 @@ class PmfEstimate:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Bandwidth search domain: coarse log grid plus golden-section rounds."""
+    """Bandwidth search domain and the size of its coarse log grid."""
 
     h_min: float
     h_max: float
     grid_points: int = 64
-    refine_iterations: int = 40
 
     def __post_init__(self):
         if not 0.0 < self.h_min < self.h_max:
             raise ValueError("need 0 < h_min < h_max")
         if self.grid_points < 16:
             raise ValueError("grid_points must be >= 16")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be >= 0")
 
 
 @dataclass
@@ -228,11 +224,16 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
 # that of cv_score.
 _CV_GRID_CELLS = 1 << 16
 
-# The first CV term's range is extended in steps of _TAIL_STEP rows; one
-# kernel grid serves _TAIL_STEPS_PER_GRID steps.
+# The first CV term's range is extended in steps of _TAIL_STEP rows while its
+# last summand is above _CV_TAIL_EPS; one kernel grid serves
+# _TAIL_STEPS_PER_GRID steps.
 _TAIL_STEP = 16
 _TAIL_STEPS_PER_GRID = 4
 _TAIL_ROWS = _TAIL_STEP * _TAIL_STEPS_PER_GRID
+_CV_TAIL_EPS = 1e-12
+
+# Golden-section steps after the two initial probes of a selection.
+_REFINE_ITERATIONS = 40
 
 # Largest target the first CV term may reach.  The dense (target x distinct
 # value) grids grow with it, so samples with values near it are refused.
@@ -242,19 +243,17 @@ _CV_MAX_TARGET = 100_000
 class _CvEvaluator:
     """CV(h) of one sample under one kernel, at any number of bandwidths.
 
-    The sample and ``tail_eps`` are checked once, and the h-independent
-    kernel terms of each target range (0..default_eval_hi, then each tail
-    extension) are built on first use and kept for the evaluator's
-    lifetime, so each bandwidth pays only its h-dependent arithmetic.
+    The sample is checked once, and the h-independent kernel terms of each
+    target range (0..default_eval_hi, then each tail extension) are built on
+    first use and kept for the evaluator's lifetime, so each bandwidth pays
+    only its h-dependent arithmetic.
     """
 
-    def __init__(self, sample: Sample, kernel: KernelSpec, tail_eps: float = 1e-12):
+    def __init__(self, sample: Sample, kernel: KernelSpec):
         if sample.n < 2:
             raise ValueError("cross-validation needs at least two observations")
-        _validate_tail_eps(tail_eps)
         self.sample = sample
         self.kernel = kernel
-        self.tail_eps = tail_eps
         self.us, self.cs, self.n = sample.distinct_values, sample.value_counts, sample.n
         self.rows = default_eval_hi(sample) + 1
         self._terms: dict[tuple[int, int], _GridTerms] = {}
@@ -267,7 +266,7 @@ class _CvEvaluator:
         return pmf_grid(self.kernel, terms, h, self.us)
 
     # The first term's range grows past default_eval_hi, one step at a time,
-    # until the summand at its end is below tail_eps; this matters for the
+    # until the summand at its end is at most _CV_TAIL_EPS; this matters for the
     # diffuse families whose mass extends well beyond the largest
     # observation.  Every observed value is a target, so the rows us of a
     # bandwidth's grid are the pair grid K_{us,h}(us).  Each bandwidth is
@@ -296,13 +295,13 @@ class _CvEvaluator:
         grids = self._grid(0, self.rows, hs)
         parts = [[first] for first in grids @ cs / n]
         hi = self.rows - 1
-        extending = [i for i, p in enumerate(parts) if p[-1][-1] > self.tail_eps]
+        extending = [i for i, p in enumerate(parts) if p[-1][-1] > _CV_TAIL_EPS]
         while extending:
             tails = self._grid(hi + 1, _TAIL_ROWS, [hs[i] for i in extending])
             sums = tails.reshape(len(extending), _TAIL_STEPS_PER_GRID, _TAIL_STEP, -1) @ cs / n
             for i, steps in zip(extending, sums):
                 for step, summands in enumerate(steps):
-                    if parts[i][-1][-1] <= self.tail_eps:
+                    if parts[i][-1][-1] <= _CV_TAIL_EPS:
                         break
                     if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
                         raise RuntimeError(
@@ -311,7 +310,7 @@ class _CvEvaluator:
                         )
                     parts[i].append(summands)
             hi += _TAIL_ROWS
-            extending = [i for i in extending if parts[i][-1][-1] > self.tail_eps]
+            extending = [i for i in extending if parts[i][-1][-1] > _CV_TAIL_EPS]
         pair_grids = grids[:, self.us]
         pair_rows = cs @ pair_grids
         diagonals = pair_grids.diagonal(axis1=1, axis2=2)
@@ -323,26 +322,22 @@ class _CvEvaluator:
         return scores
 
 
-def cv_score(sample: Sample, kernel: KernelSpec, h: float, tail_eps: float = 1e-12) -> float:
-    """Leave-one-out cross-validation score CV(h).
+def cv_score(sample: Sample, kernel: KernelSpec, h):
+    """Leave-one-out cross-validation score CV(h) at a scalar ``h``, or an
+    array of CV(h) at every bandwidth of a 1-d ``h``.
 
     The pair sum runs over ordered pairs of distinct observations, grouped
-    through the value -> count map.  Requires n >= 2 and tail_eps in (0, 1).
+    through the value -> count map.  Requires n >= 2.  An array's kernel
+    grids are built in passes of up to 2^16 (bandwidth, target, distinct
+    value) cells, and its entry i equals the scalar call at ``h[i]`` bit for
+    bit.
     """
-    return _CvEvaluator(sample, kernel, tail_eps).score(h)
-
-
-def cv_score_grid(sample: Sample, kernel: KernelSpec, hs, tail_eps: float = 1e-12) -> np.ndarray:
-    """CV(h) at every bandwidth of the 1-d array ``hs``.
-
-    The kernel grids of several bandwidths are built in one pass, up to
-    2^16 (bandwidth, target, distinct value) cells per pass; entry i equals
-    ``cv_score(sample, kernel, hs[i], tail_eps)`` bit for bit.
-    """
-    evaluator = _CvEvaluator(sample, kernel, tail_eps)
-    hs = np.asarray(hs, dtype=np.float64)
+    evaluator = _CvEvaluator(sample, kernel)
+    if np.ndim(h) == 0:
+        return evaluator.score(h)
+    hs = np.asarray(h, dtype=np.float64)
     if hs.ndim != 1:
-        raise ValueError(f"bandwidths must be a 1-d array, got shape {hs.shape}")
+        raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
     return np.array(evaluator.scores(hs))
 
 
@@ -367,28 +362,27 @@ def select_bandwidth(
     evaluated = list(zip(hs.tolist(), scores))
     i = int(np.argmin(scores))
 
-    if cfg.refine_iterations > 0:
-        a = math.log(hs[max(i - 1, 0)])
-        b = math.log(hs[min(i + 1, len(hs) - 1)])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = math.log(hs[max(i - 1, 0)])
+    b = math.log(hs[min(i + 1, len(hs) - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
-        def probe(t: float) -> float:
-            score = evaluator.score(math.exp(t))
-            evaluated.append((math.exp(t), score))
-            return score
+    def probe(t: float) -> float:
+        score = evaluator.score(math.exp(t))
+        evaluated.append((math.exp(t), score))
+        return score
 
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = probe(c), probe(d)
-        for _ in range(cfg.refine_iterations):
-            if fc <= fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = probe(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = probe(d)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = probe(c), probe(d)
+    for _ in range(_REFINE_ITERATIONS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = probe(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = probe(d)
 
     best_h, _ = min(evaluated, key=lambda t: (t[1], t[0]))
     return BandwidthSelection(float(best_h), sorted(evaluated))

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,8 @@ class PoissonPmf(TruePmf):
     def __post_init__(self):
         if not self.mu > 0:
             raise ValueError("mu must be positive")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu}")
 
     def pmf(self, x):
         x = np.asarray(x, dtype=np.float64)

@@ -9,6 +9,7 @@ import pytest
 
 import dks
 
+from dks import cli
 from dks.cli import run_cli
 
 
@@ -60,10 +61,15 @@ class TestHelpAndUsage:
              "n must be >= 1"),
             (["risk", "--true", "poisson:-1", "--kernel", "poisson", "--h", "0.3", "--n", "25"],
              "mu must be positive"),
+            (["risk", "--true", "poisson:inf", "--kernel", "binomial", "--h", "0.5", "--n", "10"],
+             "mu must be finite, got inf"),
+            (["simulate", "--true", "poisson:inf", "--sizes", "15", "--replicates", "2", "--kernels", "dirac"],
+             "mu must be finite, got inf"),
             (["cv", "--data", "builtin:safou", "--kernel", "triangular:0"],
              "triangular kernel needs an integer arm >= 1"),
         ],
-        ids=["replicates", "sizes", "estimate-h", "h-list", "risk-n", "true-mu", "triangular-arm"],
+        ids=["replicates", "sizes", "estimate-h", "h-list", "risk-n", "true-mu", "true-mu-inf", "simulate-mu-inf",
+             "triangular-arm"],
     )
     def test_out_of_range_flag_value_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -191,6 +197,18 @@ class TestRisk:
         code, _, _ = run(capsys, "risk", "--true", "poisson:2", "--kernel", "poisson", "--n", "25")
         assert code == 1
 
+    def test_allocation_failure_is_runtime_error(self, capsys, monkeypatch):
+        # a risk grid too large to allocate; raised here without allocating
+        message = "Unable to allocate 731. TiB for an array with shape (10022250, 10022251) and data type float64"
+
+        def exact_mise(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "exact_mise", exact_mise)
+        code, out, err = run(capsys, "risk", "--true", "poisson:2", "--kernel", "binomial", "--h", "0.5", "--n", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestKernelInfo:
     def test_table_columns(self, capsys, tmp_path):
@@ -221,8 +239,10 @@ class TestDiracBandwidth:
              "dirac kernel has no bandwidth; h must be 0"),
             (["cv", "--data", "builtin:safou", "--kernel", "dirac"],
              "the dirac kernel has no bandwidth to select"),
+            (["estimate", "--data", "builtin:safou", "--kernel", "dirac", "--cv"],
+             "the dirac kernel has no bandwidth to select"),
         ],
-        ids=["estimate-h", "risk-h", "h-list", "cv"],
+        ids=["estimate-h", "risk-h", "h-list", "cv", "estimate-cv"],
     )
     def test_nonzero_or_selected_bandwidth_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

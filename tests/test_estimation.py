@@ -175,7 +175,7 @@ def reference_select(sample, kernel, cfg):
     fc = reference_cv_score(sample, kernel, math.exp(c))
     fd = reference_cv_score(sample, kernel, math.exp(d))
     evaluated += [(math.exp(c), fc), (math.exp(d), fd)]
-    for _ in range(cfg.refine_iterations):
+    for _ in range(E._REFINE_ITERATIONS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -262,7 +262,7 @@ class TestBatchedCv:
         for _ in range(4):
             values = rng.poisson(2.5, rng.integers(2, 20)).tolist()
             sample = E.Sample.from_values(values)
-            got = E.cv_score_grid(sample, kernel, hs)
+            got = E.cv_score(sample, kernel, hs)
             want = [E.cv_score(sample, kernel, float(h)) for h in hs]
             assert got.tolist() == want
             for h, score in zip(hs[::4], got[::4]):
@@ -277,7 +277,7 @@ class TestBatchedCv:
         # truncation threshold, so the range must be extended
         assert E.kernel_estimate_raw(sample, kernel, 5.0).values[-1] > 1e-12
         hs = np.array([0.5, 2.0, 5.0])
-        got = E.cv_score_grid(sample, kernel, hs)
+        got = E.cv_score(sample, kernel, hs)
         assert got.tolist() == [E.cv_score(sample, kernel, float(h)) for h in hs]
         assert got[-1] == reference_cv_score(sample, kernel, 5.0)
         assert got[-1] == pytest.approx(naive_cv(values, kernel, 5.0, E.default_eval_hi(sample) + 80), abs=1e-12)
@@ -297,7 +297,7 @@ class TestBatchedCv:
             return grid
 
         monkeypatch.setattr(E, "pmf_grid", recording_grid)
-        got = E.cv_score_grid(sample, kernel, hs)
+        got = E.cv_score(sample, kernel, hs)
         assert max(sizes) <= E._CV_GRID_CELLS
         assert got.tolist() == [E.cv_score(sample, kernel, float(h)) for h in hs]
 
@@ -318,7 +318,7 @@ class TestBatchedCv:
                 tracemalloc.stop()
 
         single = peak(lambda: E.cv_score(sample, B, 0.3))
-        batched = peak(lambda: E.cv_score_grid(sample, B, [0.01, 0.1, 0.3, 1.0]))
+        batched = peak(lambda: E.cv_score(sample, B, [0.01, 0.1, 0.3, 1.0]))
         assert batched < 1.05 * single
 
     def test_cv_score_equals_reference_loop(self):
@@ -330,7 +330,11 @@ class TestBatchedCv:
 
     def test_grid_needs_two_observations(self):
         with pytest.raises(ValueError):
-            E.cv_score_grid(E.Sample.from_values([4]), B, [0.5])
+            E.cv_score(E.Sample.from_values([4]), B, [0.5])
+
+    def test_two_dimensional_bandwidths_rejected(self):
+        with pytest.raises(ValueError, match=r"scalar or a 1-d array, got shape \(1, 2\)"):
+            E.cv_score(E.Sample.from_values([0, 1, 4]), B, [[0.1, 0.5]])
 
     def test_selection_equals_reference_loop(self):
         from dks.risk import PoissonPmf
@@ -356,12 +360,11 @@ def hex_curve(curve):
 class TestCvEvaluator:
     @pytest.mark.parametrize("tail_eps", [float("nan"), 0.0, -1.0, 2.0])
     def test_tail_eps_outside_unit_interval_rejected(self, tail_eps):
-        sample = E.Sample.from_values([0, 1, 1, 3])
+        # the evaluator's truncation is the constant _CV_TAIL_EPS; a tail_eps
+        # given to the risk functions is checked by kernel_support
         for kernel in (P, NB):
             with pytest.raises(ValueError, match=r"tail_eps must be in \(0, 1\)"):
-                E.cv_score(sample, kernel, 4.0, tail_eps=tail_eps)
-            with pytest.raises(ValueError, match=r"tail_eps must be in \(0, 1\)"):
-                E.cv_score_grid(sample, kernel, [0.5, 4.0], tail_eps=tail_eps)
+                K.kernel_support(kernel, 3, 4.0, tail_eps)
 
     @pytest.mark.parametrize("kernel", [D, B, P, NB, T1, K.triangular(3)])
     def test_cached_terms_give_the_grid_bitwise(self, kernel):
@@ -399,8 +402,8 @@ class TestCvEvaluator:
 
         monkeypatch.setattr(E, "_GridTerms", CountingTerms)
         sample = E.Sample.from_values([0, 1, 1, 2, 3, 3, 4, 7])
-        sel = E.select_bandwidth(sample, P, E.SearchConfig(3.0, 6.0, grid_points=16, refine_iterations=8))
-        assert len(sel.cv_curve) == 26
+        sel = E.select_bandwidth(sample, P, E.SearchConfig(3.0, 6.0, grid_points=16))
+        assert len(sel.cv_curve) == 16 + 42
         rows = E.default_eval_hi(sample) + 1
         # the grid pass and its first tail; the steps reuse their terms
         assert built[:2] == [(0, rows), (rows, E._TAIL_ROWS)]
@@ -422,7 +425,7 @@ class TestCvEvaluator:
     def test_tail_extending_selection_equals_reference(self, kernel):
         # a search domain around h = 5 makes every probe extend the first
         # term past default_eval_hi
-        cfg = E.SearchConfig(3.0, 6.0, grid_points=16, refine_iterations=12)
+        cfg = E.SearchConfig(3.0, 6.0, grid_points=16)
         rng = np.random.default_rng(21)
         for _ in range(3):
             values = rng.poisson(1.5, rng.integers(8, 40)).tolist()
@@ -440,7 +443,7 @@ class TestCvEvaluator:
         sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 300, 300))
         assert (E.default_eval_hi(sample) + 1) * len(sample.distinct_values) > E._CV_GRID_CELLS
         cfg = E.default_search_config(kernel.family)
-        cfg = E.SearchConfig(cfg.h_min, cfg.h_max, grid_points=16, refine_iterations=6)
+        cfg = E.SearchConfig(cfg.h_min, cfg.h_max, grid_points=16)
         sel = E.select_bandwidth(sample, kernel, cfg)
         h_cv, curve = reference_select(sample, kernel, cfg)
         assert sel.h_cv.hex() == h_cv.hex()
@@ -484,16 +487,14 @@ class TestSelectBandwidth:
         assert picked and picked[0] == best
 
     def test_finer_grid_never_worse(self):
-        # with no refinement the fine grid contains the coarse one, so its
-        # attained minimum cannot be larger
-        coarse = E.SearchConfig(1e-3, 5.0, grid_points=33, refine_iterations=0)
-        fine = E.SearchConfig(1e-3, 5.0, grid_points=65, refine_iterations=0)
+        # the fine grid contains the coarse one, so its attained minimum
+        # cannot be larger
+        coarse = np.geomspace(1e-3, 5.0, 33)
+        fine = np.geomspace(1e-3, 5.0, 65)
         sample = E.Sample.from_values([0, 1, 1, 2, 2, 2, 3, 4, 5, 2, 1, 0, 6])
         for kernel in (P, NB, T1):
-            c = E.select_bandwidth(sample, kernel, coarse)
-            f = E.select_bandwidth(sample, kernel, fine)
-            cv_c = min(s for _, s in c.cv_curve)
-            cv_f = min(s for _, s in f.cv_curve)
+            cv_c = E.cv_score(sample, kernel, coarse).min()
+            cv_f = E.cv_score(sample, kernel, fine).min()
             assert cv_f <= cv_c + 1e-15
 
     def test_reference_dataset_selections(self):

@@ -20,6 +20,14 @@ class TestTruePmf:
         with pytest.raises(ValueError):
             R.PoissonPmf(0.0)
 
+    def test_poisson_mean_must_be_finite(self):
+        for mu in (float("inf"), 1e400):
+            with pytest.raises(ValueError, match="^mu must be finite, got inf$"):
+                R.PoissonPmf(mu)
+        for mu in (float("nan"), float("-inf"), -1.0):
+            with pytest.raises(ValueError, match="^mu must be positive$"):
+                R.PoissonPmf(mu)
+
     def test_tabulated(self):
         t = R.TabulatedPmf([0.2, 0.5, 0.3])
         assert t.pmf(1) == 0.5

@@ -4,10 +4,10 @@ Usage: python3 tools/cli_identity.py TREE OUTDIR
 
 Each command runs in a subprocess with ``TREE/src`` on the path, in its own
 working directory ``OUTDIR/<name>``.  That directory then holds ``stdout``,
-``stderr``, ``exit`` (the exit code), the input file ``wide.txt`` and any file
-the command wrote; ``--out`` paths are relative, so the path that
-``simulate`` echoes is the same for every tree.  Two trees give the same CLI
-output when
+``stderr``, ``exit`` (the exit code), the input files ``wide.txt``,
+``counts.csv`` and ``bad.csv``, and any file the command wrote; ``--out``
+paths are relative, so the path that ``simulate`` echoes is the same for
+every tree.  Two trees give the same CLI output when
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -16,16 +16,20 @@ as CSV and as JSON, serial and pooled, ``estimate``, ``cv``, ``kernel-info``
 and ``risk`` for the kernel families with a bandwidth, and the usage errors
 of flag values out of range (a negative ``--x-max``, a zero replicate count,
 a sample size below 2, a negative ``--h``, a binomial ``--h-list`` value
-above 1, a zero ``--n``, a negative Poisson mean and a triangular arm of 0),
-so that their exit codes and messages are pinned too.
+above 1, a zero ``--n``, a negative or an infinite Poisson mean and a
+triangular arm of 0), so that their exit codes and messages are pinned too.
 
 The built-in samples span at most 35 integers, so the set also runs
 ``estimate --cv`` and ``cv`` on ``wide.txt``, a fixed sample spanning 0..400
 (the squares modulo 401, no random numbers), and ``risk`` against a
 Poisson(40) truth, so that grids hundreds of targets wide are compared too.
-The dirac kernel is run at ``h = 0`` and with its default ``--h-list``, and
-with a nonzero ``--h``, a nonzero ``--h-list`` value and ``cv``, which are
-usage errors.
+``counts.csv`` is a value-count file with a mixed-case ``Value,Count``
+header, a duplicated value and a zero-count row, read by ``estimate`` and
+``cv``; ``bad.csv`` has a negative count on line 3, a runtime error whose
+message names the file by its relative path.  Together they pin the
+detection of the file format.  The dirac kernel is run at ``h = 0`` and with
+its default ``--h-list``, and with a nonzero ``--h``, a nonzero ``--h-list``
+value, ``cv`` and ``estimate --cv``, which are usage errors.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ import sys
 from pathlib import Path
 
 _KERNELS = ("binomial", "poisson", "negbin", "triangular", "triangular:2")
-_WIDE = "".join(f"{i * i % 401}\n" for i in range(401))
+_INPUTS = {
+    "wide.txt": "".join(f"{i * i % 401}\n" for i in range(401)),
+    "counts.csv": "Value,Count\n3,4\n0,2\n3,1\n7,0\n12,5\n1,3\n",
+    "bad.csv": "value,count\n2,5\n4,-1\n6,2\n",
+}
 _SIMULATE = ["simulate", "--true", "poisson:2", "--sizes", "15,25", "--replicates", "20",
              "--kernels", "dirac,binomial,poisson,negbin,triangular:1", "--seed", "7"]
 
@@ -69,6 +77,12 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
                      ["estimate", "--data", "wide.txt", "--kernel", k, "--cv", "--normalize", "--out", "out.csv"],
                      {}))
         cmds.append((f"cv-wide-{k}", ["cv", "--data", "wide.txt", "--kernel", k, "--out", "out.csv"], {}))
+    cmds += [
+        ("estimate-counts-binomial", ["estimate", "--data", "counts.csv", "--kernel", "binomial", "--h", "0.3",
+                                      "--normalize", "--out", "out.csv"], {}),
+        ("cv-counts-negbin", ["cv", "--data", "counts.csv", "--kernel", "negbin", "--out", "out.csv"], {}),
+        ("estimate-bad-counts", ["estimate", "--data", "bad.csv", "--kernel", "poisson", "--h", "0.3"], {}),
+    ]
     cmds.append(("risk-poisson40-binomial-h1",
                  ["risk", "--true", "poisson:40", "--kernel", "binomial", "--h", "1", "--n", "25",
                   "--out", "out.csv"], {}))
@@ -80,6 +94,7 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
         ("risk-dirac-h", ["risk", "--true", "poisson:2", *dirac, "--h", "0.7", "--n", "25"], {}),
         ("kernel-info-dirac-h-list", ["kernel-info", *dirac, "--h-list", "5"], {}),
         ("cv-dirac", ["cv", "--data", "builtin:safou", *dirac], {}),
+        ("estimate-dirac-cv", ["estimate", "--data", "builtin:safou", *dirac, "--cv"], {}),
     ]
     cmds.append(("kernel-info-negative-x-max", ["kernel-info", "--kernel", "binomial", "--x-max", "-1"], {}))
     sim = ["simulate", "--true", "poisson:2", "--kernels", "dirac"]
@@ -91,6 +106,10 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
         ("risk-zero-n", ["risk", "--true", "poisson:2", "--kernel", "poisson", "--h", "0.3", "--n", "0"], {}),
         ("risk-negative-mean", ["risk", "--true", "poisson:-1", "--kernel", "poisson", "--h", "0.3",
                                 "--n", "25"], {}),
+        ("risk-infinite-mean", ["risk", "--true", "poisson:inf", "--kernel", "binomial", "--h", "0.5",
+                                "--n", "10"], {}),
+        ("simulate-infinite-mean", ["simulate", "--true", "poisson:inf", "--sizes", "15", "--replicates", "2",
+                                    "--kernels", "dirac"], {}),
         ("cv-triangular-arm-zero", ["cv", "--data", "builtin:safou", "--kernel", "triangular:0"], {}),
     ]
     return cmds
@@ -111,7 +130,8 @@ def main(argv: list[str]) -> int:
     for name, args, extra in _commands():
         workdir = outdir / name
         workdir.mkdir(parents=True)
-        (workdir / "wide.txt").write_text(_WIDE, encoding="utf-8")
+        for filename, text in _INPUTS.items():
+            (workdir / filename).write_text(text, encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(src), "DKS_THREADS": "1", **extra}
         proc = subprocess.run([sys.executable, "-m", "dks", *args], cwd=workdir, env=env,
                               capture_output=True, check=False)
