@@ -124,6 +124,10 @@ class PmfEstimate:
         return float(self.values.sum())
 
 
+# Largest coarse grid of a bandwidth search; each point is one CV evaluation.
+_MAX_GRID_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Bandwidth search domain and the size of its coarse log grid."""
@@ -137,6 +141,8 @@ class SearchConfig:
             raise ValueError("need 0 < h_min < h_max")
         if self.grid_points < 16:
             raise ValueError("grid_points must be >= 16")
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise ValueError(f"grid_points must be <= {_MAX_GRID_POINTS}, got {self.grid_points}")
 
 
 @dataclass
@@ -244,9 +250,10 @@ class _CvEvaluator:
     """CV(h) of one sample under one kernel, at any number of bandwidths.
 
     The sample is checked once, and the h-independent kernel terms of each
-    target range (0..default_eval_hi, then each tail extension) are built on
-    first use and kept for the evaluator's lifetime, so each bandwidth pays
-    only its h-dependent arithmetic.
+    target range (0..default_eval_hi, each tail extension, and the first
+    range with the first tail) are built on first use and kept for the
+    evaluator's lifetime, so each bandwidth pays only its h-dependent
+    arithmetic.
     """
 
     def __init__(self, sample: Sample, kernel: KernelSpec):
@@ -257,68 +264,84 @@ class _CvEvaluator:
         self.us, self.cs, self.n = sample.distinct_values, sample.value_counts, sample.n
         self.rows = default_eval_hi(sample) + 1
         self._terms: dict[tuple[int, int], _GridTerms] = {}
+        self._extended = False
 
-    def _grid(self, lo: int, size: int, h) -> np.ndarray:
-        # K_{x,h}(us) on the targets x = lo..lo+size-1
+    def _grid(self, lo: int, size: int, hs: np.ndarray) -> np.ndarray:
+        # K_{x,h}(us) on the targets x = lo..lo+size-1, as (bandwidths, x, us)
         terms = self._terms.get((lo, size))
         if terms is None:
             terms = self._terms[lo, size] = _GridTerms(self.kernel, np.arange(lo, lo + size), self.us)
-        return pmf_grid(self.kernel, terms, h, self.us)
+        grid = terms.at(hs)
+        return grid if hs.ndim else grid[None]
+
+    @staticmethod
+    def _steps(tails: np.ndarray) -> np.ndarray:
+        # (bandwidths, _TAIL_ROWS, ...) tail rows as a view of their 16-row steps
+        return tails.reshape(len(tails), _TAIL_STEPS_PER_GRID, _TAIL_STEP, *tails.shape[2:])
 
     # The first term's range grows past default_eval_hi, one step at a time,
     # until the summand at its end is at most _CV_TAIL_EPS; this matters for the
     # diffuse families whose mass extends well beyond the largest
     # observation.  Every observed value is a target, so the rows us of a
     # bandwidth's grid are the pair grid K_{us,h}(us).  Each bandwidth is
-    # reduced on its own 2-d slice (a stacked matmul runs one matrix-vector
+    # reduced on its own 2-d slices (a stacked matmul runs one matrix-vector
     # product per contiguous slice), so its score does not depend on which
-    # bandwidths share its grids.
+    # bandwidths share its grids, nor on whether its first tail was fused.
 
     def score(self, h: float) -> float:
-        return self._pass([h])[0]
+        # Golden-section steps are adjacent in h, so a step after an extending
+        # one builds its first range and first tail as one grid.
+        validate_bandwidth(self.kernel, float(h))
+        return self._pass(np.float64(h), fused=self._extended)[0]
 
     def scores(self, hs: np.ndarray) -> list[float]:
         # Up to _CV_GRID_CELLS (bandwidth, target, distinct value) cells per
         # pass; each pass's grids are freed before the next pass builds its
         # own.
+        for h in hs.tolist():
+            validate_bandwidth(self.kernel, h)
         per_pass = max(1, _CV_GRID_CELLS // (max(self.rows, _TAIL_ROWS) * self.us.size))
         scores: list[float] = []
         for start in range(0, hs.size, per_pass):
-            scores += self._pass(hs[start : start + per_pass].tolist())
+            scores += self._pass(hs[start : start + per_pass])
         return scores
 
-    def _pass(self, hs: list[float]) -> list[float]:
-        # One stacked grid for all of hs, and one tail grid per extension
-        # for every bandwidth still extending.  A stacked matmul sums a tail
-        # grid's 16-row steps, one matrix-vector product per step.
-        cs, n = self.cs, self.n
-        grids = self._grid(0, self.rows, hs)
-        parts = [[first] for first in grids @ cs / n]
-        hi = self.rows - 1
-        extending = [i for i, p in enumerate(parts) if p[-1][-1] > _CV_TAIL_EPS]
+    def _pass(self, hs: np.ndarray, fused: bool = False) -> list[float]:
+        # One stacked grid for all of hs on the first range (and the first
+        # tail if fused), then one tail grid per extension for the bandwidths
+        # still extending.  sums[i, :ends[i]] are bandwidth i's summands.
+        cs, n, rows = self.cs, self.n, self.rows
+        grids = self._grid(0, rows + _TAIL_ROWS if fused else rows, hs)
+        sums = np.empty(grids.shape[:2])
+        np.matmul(grids[:, :rows], cs, out=sums[:, :rows])
+        if fused:
+            np.matmul(self._steps(grids[:, rows:]), cs, out=self._steps(sums[:, rows:]))
+        sums /= n
+        ends, extending = [rows] * hs.size, range(hs.size)
         while extending:
-            tails = self._grid(hi + 1, _TAIL_ROWS, [hs[i] for i in extending])
-            sums = tails.reshape(len(extending), _TAIL_STEPS_PER_GRID, _TAIL_STEP, -1) @ cs / n
-            for i, steps in zip(extending, sums):
-                for step, summands in enumerate(steps):
-                    if parts[i][-1][-1] <= _CV_TAIL_EPS:
-                        break
-                    if hi + step * _TAIL_STEP > _CV_MAX_TARGET:
+            width = sums.shape[1]
+            for i in extending:
+                while sums[i, ends[i] - 1] > _CV_TAIL_EPS and ends[i] < width:
+                    if ends[i] - 1 > _CV_MAX_TARGET:
                         raise RuntimeError(
                             f"cross-validation sum failed to truncate: the first term needs targets past "
                             f"{_CV_MAX_TARGET}, and the sample's largest value is {self.sample.max_value}"
                         )
-                    parts[i].append(summands)
-            hi += _TAIL_ROWS
-            extending = [i for i in extending if parts[i][-1][-1] > _CV_TAIL_EPS]
-        pair_grids = grids[:, self.us]
+                    ends[i] += _TAIL_STEP
+            extending = [i for i in extending if sums[i, ends[i] - 1] > _CV_TAIL_EPS]
+            if extending:
+                sums = np.concatenate([sums, np.zeros((hs.size, _TAIL_ROWS))], axis=1)
+                tails = self._grid(width, _TAIL_ROWS, hs[extending] if hs.ndim else hs)
+                self._steps(sums[:, width:])[extending] = self._steps(tails) @ cs / n
+        self._extended = max(ends) > rows
+        pair_grids = grids.take(self.us, axis=1)
         pair_rows = cs @ pair_grids
         diagonals = pair_grids.diagonal(axis1=1, axis2=2)
         scores = []
-        for p, row, diagonal in zip(parts, pair_rows, diagonals):
-            vals = np.concatenate(p) if len(p) > 1 else p[0]
-            pair_sum = float(row @ cs - np.dot(cs, diagonal))
-            scores.append(float(np.dot(vals, vals)) - 2.0 * pair_sum / (n * (n - 1.0)))
+        for vals, end, row, diagonal in zip(sums, ends, pair_rows, diagonals):
+            vals = vals[:end]
+            pair_sum = float(row.dot(cs) - cs.dot(diagonal))
+            scores.append(float(vals.dot(vals)) - 2.0 * pair_sum / (n * (n - 1.0)))
         return scores
 
 

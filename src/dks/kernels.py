@@ -149,11 +149,12 @@ class _GridTerms:
 
     In the standard families these log terms come first in the log mass,
     which is summed left to right, so adding the h-dependent terms to them
-    gives the grid bit for bit.  Callers that evaluate one grid at many
-    bandwidths build this once and pass it to ``pmf_grid`` as the targets.
+    gives the grid bit for bit.  They are -inf off the family's support,
+    whose cells therefore get exactly 0.  Callers that evaluate one grid at
+    many bandwidths build this once and call ``at`` for each.
     """
 
-    __slots__ = ("kernel", "X", "parts", "support")
+    __slots__ = ("kernel", "X", "parts")
 
     def __init__(self, kernel: KernelSpec, xs, ys):
         xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
@@ -163,7 +164,6 @@ class _GridTerms:
         Y = ys[None, :]
         self.kernel = kernel
         self.X = X
-        self.support = None
         fam = kernel.family
         if fam is KernelFamily.DIRAC:
             self.parts = ((X == Y).astype(np.float64),)
@@ -173,26 +173,17 @@ class _GridTerms:
             self.parts = (d.shape, band, d.ravel()[band], np.arange(1.0, kernel.arm + 1.0))
         elif fam is KernelFamily.POISSON:
             Yc = np.maximum(Y, 0.0)
-            self.parts = (Yc, gammaln(Yc + 1.0))
-            self.support = Y >= 0
+            self.parts = (Yc, np.where(Y >= 0, gammaln(Yc + 1.0), np.inf))  # subtracted
         elif fam is KernelFamily.BINOMIAL:
             m = X + 1.0
             Yc = np.minimum(np.maximum(Y, 0.0), m)
             coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(m - Yc + 1.0)
-            self.parts = (m, Yc, m - Yc, coef)
-            self.support = (Y >= 0) & (Y <= m)
+            self.parts = (m, Yc, m - Yc, np.where((Y >= 0) & (Y <= m), coef, -np.inf))
         else:
-            r = _negbin_params(X, 0.0)[0]  # r does not depend on h
+            r = X + 1.0  # r and 2x + 1 of _negbin_params do not depend on h
             Yc = np.maximum(Y, 0.0)
-            self.parts = (Yc, gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r))
-            self.support = Y >= 0
-        if self.support is not None and self.support.all():
-            self.support = None  # masking would copy the grid unchanged
-
-    @property
-    def size(self) -> int:
-        """The number of targets, as ``np.size`` of the targets would give."""
-        return self.X.shape[0]
+            coef = gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r)
+            self.parts = (Yc, np.where(Y >= 0, coef, -np.inf), r, 2.0 * X + 1.0)
 
     def at(self, hs: np.ndarray) -> np.ndarray:
         """The grid at a validated scalar or 1-d array of bandwidths."""
@@ -227,11 +218,10 @@ class _GridTerms:
             p = (X + h) / m
             logp = log_coef + Yc * xlogy(1.0, p) + _times_log(rest, xlog1py(1.0, -p))
         else:
-            Yc, log_coef = self.parts
-            r, q = _negbin_params(X, h)
+            Yc, log_coef, r, s = self.parts
+            q = r / (s + h)
             logp = log_coef + r * np.log(q) + _times_log(Yc, xlogy(1.0, 1.0 - q))
-        mass = np.exp(logp)
-        return mass if self.support is None else np.where(self.support, mass, 0.0)
+        return np.exp(logp)
 
 
 def _times_log(count: np.ndarray, log_row: np.ndarray) -> np.ndarray:
@@ -240,7 +230,9 @@ def _times_log(count: np.ndarray, log_row: np.ndarray) -> np.ndarray:
     if log_row.min() > -np.inf:
         return count * log_row
     with np.errstate(invalid="ignore"):
-        return np.where(count == 0, 0.0, count * log_row)
+        product = count * log_row
+    np.copyto(product, 0.0, where=count == 0)  # in place: no second grid
+    return product
 
 
 def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
@@ -248,10 +240,7 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
 
     Parameters
     ----------
-    xs : array-like of non-negative integer targets (rows), or the
-        ``_GridTerms`` of this kernel on the targets and ``ys``, whose
-        h-independent terms are then reused.  ``ys`` must then be the points
-        the terms were built on; it is not read again.
+    xs : array-like of non-negative integer targets (rows).
     h : bandwidth, or a 1-d array of bandwidths; each is validated against
         the family.
     ys : array-like of integer evaluation points (columns); points outside
@@ -268,10 +257,6 @@ def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
         raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
     for value in hs.flat:
         validate_bandwidth(kernel, float(value))
-    if isinstance(xs, _GridTerms):
-        if xs.kernel != kernel:
-            raise ValueError(f"grid terms were built for {xs.kernel.label}, not {kernel.label}")
-        return xs.at(hs)
     return _GridTerms(kernel, xs, ys).at(hs)
 
 
@@ -283,12 +268,16 @@ def _negbin_params(x, h):
 
 def _triangular_normalizer(k: np.ndarray, h: float) -> float:
     # k = 1..arm, built once per grid or moment
-    return (2 * k.size + 1) * (k.size + 1.0) ** h - 2.0 * np.sum(k**h)
+    return (2 * k.size + 1) * (k.size + 1.0) ** h - 2.0 * (k**h).sum()
 
 
 def kernel_pmf(kernel: KernelSpec, x: int, h: float, y: int) -> float:
     """Pr(K_{x,h} = y) for a single target and point."""
     return float(pmf_grid(kernel, [x], h, [y])[0, 0])
+
+
+# Largest upper bound _tail_index scans to; the scan holds two arrays of this length.
+_TAIL_SCAN_LIMIT = 1 << 24
 
 
 @functools.lru_cache(maxsize=1024)
@@ -301,9 +290,15 @@ def _tail_index(kernel: KernelSpec, x: int, h: float, tail_eps: float) -> tuple[
     else:
         survival, params = nbdtrc, _negbin_params(x, h)
     mean, var = kernel_mean(kernel, x, h), kernel_variance(kernel, x, h)
-    hi = int(math.ceil(mean + 10.0 * math.sqrt(max(var, 1.0)))) + 1
+    start = mean + 10.0 * math.sqrt(max(var, 1.0))  # inf where the variance overflows
+    hi = int(math.ceil(start)) + 1 if start < _TAIL_SCAN_LIMIT else _TAIL_SCAN_LIMIT
     while survival(hi, *params) > tail_eps:
-        hi = 2 * hi + 8
+        if hi >= _TAIL_SCAN_LIMIT:
+            raise RuntimeError(
+                f"the {kernel.label} kernel at x = {x}, h = {h!r} keeps more than {tail_eps!r} of its mass "
+                f"past the tail scan limit of {_TAIL_SCAN_LIMIT}"
+            )
+        hi = min(2 * hi + 8, _TAIL_SCAN_LIMIT)
     sf = survival(np.arange(0, hi + 1), *params)
     idx = int(np.argmax(sf <= tail_eps))
     return idx, float(sf[idx])

@@ -138,6 +138,11 @@ class TestCv:
         assert code == 1
         assert "usage error" in err and "grid_points" in err
 
+    def test_grid_above_maximum_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "cv", "--data", "builtin:safou", "--kernel", "binomial", "--grid", "100000000")
+        assert (code, out) == (1, "")
+        assert err == "usage error: bad search domain: grid_points must be <= 10000, got 100000000\n"
+
     def test_empty_search_domain_is_usage_error(self, capsys):
         code, _, err = run(capsys, "cv", "--data", "builtin:safou", "--kernel", "poisson",
                            "--h-min", "2", "--h-max", "2")
@@ -196,6 +201,17 @@ class TestRisk:
     def test_missing_h_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "risk", "--true", "poisson:2", "--kernel", "poisson", "--n", "25")
         assert code == 1
+
+    @pytest.mark.parametrize("kernel", ["poisson", "negbin"])
+    def test_huge_bandwidth_names_the_tail_scan_limit(self, capsys, kernel):
+        # the negbin variance overflows to inf, and the poisson tail lies past
+        # any array numpy can allocate
+        code, out, err = run(capsys, "risk", "--true", "poisson:2", "--kernel", kernel, "--h", "1e300", "--n", "10")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the {kernel} kernel at x = 18, h = 1e+300 keeps more than 1e-12 of its mass "
+            f"past the tail scan limit of 16777216\n"
+        )
 
     def test_allocation_failure_is_runtime_error(self, capsys, monkeypatch):
         # a risk grid too large to allocate; raised here without allocating

@@ -290,13 +290,14 @@ class TestBatchedCv:
         hs = np.geomspace(0.01, 1.0, 7)
         assert cells < E._CV_GRID_CELLS < cells * len(hs)
         sizes = []
+        at = K._GridTerms.at
 
-        def recording_grid(*args):
-            grid = K.pmf_grid(*args)
+        def recording_at(terms, h):
+            grid = at(terms, h)
             sizes.append(grid.size)
             return grid
 
-        monkeypatch.setattr(E, "pmf_grid", recording_grid)
+        monkeypatch.setattr(K._GridTerms, "at", recording_at)
         got = E.cv_score(sample, kernel, hs)
         assert max(sizes) <= E._CV_GRID_CELLS
         assert got.tolist() == [E.cv_score(sample, kernel, float(h)) for h in hs]
@@ -370,25 +371,10 @@ class TestCvEvaluator:
     def test_cached_terms_give_the_grid_bitwise(self, kernel):
         xs, ys = np.arange(0, 40), np.array([0, 1, 2, 5, 9, 17, 33, 45])
         terms = K._GridTerms(kernel, xs, ys)
-        hs = [0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 9)
-        np.testing.assert_array_equal(K.pmf_grid(kernel, terms, hs, ys), K.pmf_grid(kernel, xs, hs, ys))
+        hs = np.array([0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 9))
+        np.testing.assert_array_equal(terms.at(hs), K.pmf_grid(kernel, xs, hs, ys))
         for h in hs:
-            np.testing.assert_array_equal(K.pmf_grid(kernel, terms, h, ys), K.pmf_grid(kernel, xs, h, ys))
-
-    def test_terms_for_another_kernel_rejected(self):
-        xs, ys = np.arange(0, 10), np.array([0, 2, 3])
-        terms = K._GridTerms(P, xs, ys)
-        with pytest.raises(ValueError, match="built for poisson, not negbin"):
-            K.pmf_grid(NB, terms, 1.0, ys)
-        with pytest.raises(ValueError, match="not triangular"):
-            K.pmf_grid(K.triangular(2), K._GridTerms(T1, xs, ys), [1.0, 2.0], ys)
-
-    def test_terms_size_is_the_target_count(self):
-        # np.size reads it, so code that counts grid cells from the
-        # arguments of pmf_grid counts the same cells for terms as for targets
-        xs, ys = np.arange(3, 40), np.array([0, 2, 3, 9])
-        terms = K._GridTerms(B, xs, ys)
-        assert np.size(terms) * np.size(ys) == K.pmf_grid(B, terms, 0.5, ys).size
+            np.testing.assert_array_equal(terms.at(h), K.pmf_grid(kernel, xs, h, ys))
 
     def test_terms_built_once_per_target_range(self, monkeypatch):
         # one selection builds the h-independent terms of each target range
@@ -405,9 +391,68 @@ class TestCvEvaluator:
         sel = E.select_bandwidth(sample, P, E.SearchConfig(3.0, 6.0, grid_points=16))
         assert len(sel.cv_curve) == 16 + 42
         rows = E.default_eval_hi(sample) + 1
-        # the grid pass and its first tail; the steps reuse their terms
-        assert built[:2] == [(0, rows), (rows, E._TAIL_ROWS)]
-        assert len(built) == len(set(built)) < 5
+        # the grid pass, its first tail, and the steps' first range fused with
+        # that tail; the steps reuse their terms
+        assert built == [(0, rows), (rows, E._TAIL_ROWS), (0, rows + E._TAIL_ROWS)]
+
+    @pytest.mark.parametrize(
+        "kernel, cfg",
+        [(P, E.SearchConfig(3.0, 6.0, 16)), (NB, E.SearchConfig(3.0, 6.0, 16)), (B, E.SearchConfig(1e-4, 1.0, 16))],
+    )
+    def test_step_score_does_not_depend_on_history(self, kernel, cfg):
+        # a step after an extending one builds its first range and first tail
+        # as one grid; its score must not show which grids it came from.  The
+        # binomial first term extends on these samples below h = 0.1 only.
+        rng = np.random.default_rng(21)
+        hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
+        histories = set()
+        for values in ([0, 1, 1, 2, 3, 3, 4, 7], rng.poisson(1.5, 30).tolist()):
+            sample = E.Sample.from_values(values)
+            for h in hs:
+                want = E._CvEvaluator(sample, kernel).score(h).hex()
+                assert E._CvEvaluator(sample, kernel).scores(np.array([h]))[0].hex() == want
+                for before in (hs[0], hs[-1]):
+                    evaluator = E._CvEvaluator(sample, kernel)
+                    evaluator.score(before)
+                    histories.add(evaluator._extended)
+                    assert evaluator.score(h).hex() == want
+        assert histories == ({True, False} if kernel is B else {True})
+
+    def test_fused_step_names_the_target_limit(self):
+        # the steps taken from a fused first tail are checked against the
+        # target limit too
+        sample = E.Sample.from_values([100500, 100502, 100507])
+        for kernel in (P, NB):
+            evaluator = E._CvEvaluator(sample, kernel)
+            evaluator._extended = True
+            with pytest.raises(RuntimeError, match=r"targets past 100000.*largest value is 100507"):
+                evaluator.score(0.1)
+            assert (0, evaluator.rows + E._TAIL_ROWS) in evaluator._terms
+
+    def test_one_grid_per_extending_step(self, monkeypatch):
+        # every negbin first term extends, so each golden-section step builds
+        # its first range and first tail as one grid
+        grids, per_step = [], []
+        at, score = K._GridTerms.at, E._CvEvaluator.score
+
+        def counting_at(terms, h):
+            grids.append((int(terms.X[0, 0]), len(terms.X)))
+            return at(terms, h)
+
+        def counting_score(evaluator, h):
+            start = len(grids)
+            result = score(evaluator, h)
+            per_step.append(grids[start:])
+            return result
+
+        monkeypatch.setattr(K._GridTerms, "at", counting_at)
+        monkeypatch.setattr(E._CvEvaluator, "score", counting_score)
+        for seed in range(3):
+            sample = E.Sample.from_values(np.random.default_rng(seed).poisson(2.0, 50))
+            fused = [(0, E.default_eval_hi(sample) + 1 + E._TAIL_ROWS)]
+            per_step.clear()
+            E.select_bandwidth(sample, NB)
+            assert per_step == [fused] * 42
 
     def test_scores_match_naive_double_loop(self):
         rng = np.random.default_rng(12)
@@ -471,6 +516,9 @@ class TestSelectBandwidth:
             E.SearchConfig(0.5, 0.1)
         with pytest.raises(ValueError):
             E.SearchConfig(0.1, 1.0, grid_points=8)
+        with pytest.raises(ValueError, match="grid_points must be <= 10000, got 10001"):
+            E.SearchConfig(0.1, 1.0, grid_points=E._MAX_GRID_POINTS + 1)
+        assert E.SearchConfig(0.1, 1.0, grid_points=E._MAX_GRID_POINTS).grid_points == 10_000
 
     def test_binomial_domain_capped(self):
         with pytest.raises(ValueError):

@@ -169,7 +169,9 @@ class TestGridBits:
             assert_same_bits(K.pmf_grid(kernel, xs, h, ys), want)
         assert_same_bits(K.pmf_grid(kernel, xs, np.array(hs), ys), np.stack(wants))
         terms = K._GridTerms(kernel, xs, ys)
-        assert_same_bits(K.pmf_grid(kernel, terms, np.array(hs), ys), np.stack(wants))
+        assert_same_bits(terms.at(np.array(hs)), np.stack(wants))
+        for h, want in zip(hs, wants):
+            assert_same_bits(terms.at(np.float64(h)), want)
 
     def test_binomial_where_the_success_probability_rounds_to_one(self):
         # at h = 1, and where x + h rounds to x + 1 below h = 1, log(1 - p)
@@ -206,6 +208,23 @@ class TestSupport:
     def test_triangular_window(self):
         sup = K.kernel_support(K.triangular(3), 2, 0.5)
         assert (sup.lo, sup.hi) == (-1, 5)
+
+    def test_tail_scan_stops_at_its_limit(self, monkeypatch):
+        # at tail_eps = 1e-300 the scan doubles its bound 12 -> 32 -> 72 -> 152
+        # -> 312; a limit in between caps the bound rather than stepping over it
+        want = K.kernel_support(P, 0, 1.0, 1e-300)
+        assert want.truncation_hi == 166
+        try:
+            for limit in (200, 100):
+                K._tail_index.cache_clear()
+                monkeypatch.setattr(K, "_TAIL_SCAN_LIMIT", limit)
+                if limit > want.truncation_hi:
+                    assert K.kernel_support(P, 0, 1.0, 1e-300) == want
+                else:
+                    with pytest.raises(RuntimeError, match=r"x = 0, h = 1.0 keeps more than 1e-300 .* limit of 100$"):
+                        K.kernel_support(P, 0, 1.0, 1e-300)
+        finally:
+            K._tail_index.cache_clear()
 
     def test_poisson_truncation_bound(self):
         # oracle: cumulative sum of the poisson mass at rate 2.1

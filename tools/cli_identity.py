@@ -17,7 +17,9 @@ and ``risk`` for the kernel families with a bandwidth, and the usage errors
 of flag values out of range (a negative ``--x-max``, a zero replicate count,
 a sample size below 2, a negative ``--h``, a binomial ``--h-list`` value
 above 1, a zero ``--n``, a negative or an infinite Poisson mean and a
-triangular arm of 0), so that their exit codes and messages are pinned too.
+triangular arm of 0), so that their exit codes and messages are pinned too,
+and the runtime error of a poisson or negbin ``risk`` at ``--h 1e300``, whose
+kernel tail lies past the tail scan's limit.
 
 The built-in samples span at most 35 integers, so the set also runs
 ``estimate --cv`` and ``cv`` on ``wide.txt``, a fixed sample spanning 0..400
@@ -112,6 +114,9 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
                                     "--kernels", "dirac"], {}),
         ("cv-triangular-arm-zero", ["cv", "--data", "builtin:safou", "--kernel", "triangular:0"], {}),
     ]
+    for k in ("poisson", "negbin"):
+        cmds.append((f"risk-huge-h-{k}", ["risk", "--true", "poisson:2", "--kernel", k, "--h", "1e300",
+                                          "--n", "10"], {}))
     return cmds
 
 
