@@ -43,6 +43,7 @@ from .simulation import SimulationConfig, run_study
 _KERNEL_NAMES = tuple(f.value for f in KernelFamily)
 _KERNEL_HELP = "dirac, binomial, poisson, negbin, triangular[:P]"
 _EXIT_BROKEN_PIPE = 128 + 13
+_KERNEL_INFO_MAX_ROWS = 100_000  # (x_max + 1) x bandwidths; at about 80 us a row, 8 s
 
 
 class _UsageError(Exception):
@@ -219,6 +220,9 @@ def _cmd_kernel_info(args) -> int:
         raise _UsageError(f"--x-max must be >= 0, got {args.x_max}")
     default = 0.0 if kernel.family is KernelFamily.DIRAC else 0.1
     h_list = [_fixed_bandwidth(kernel, h) for h in args.h_list or [default]]
+    n_rows = (args.x_max + 1) * len(h_list)
+    if n_rows > _KERNEL_INFO_MAX_ROWS:
+        raise _UsageError(f"--x-max and --h-list make {n_rows} rows, past the limit of {_KERNEL_INFO_MAX_ROWS}")
     xs = range(0, args.x_max + 1)
     headers = ["x", "h", "modal_prob", "mean", "variance", "modal_limit", "r_pois_binom", "r_negbin_pois"]
     rows = []

@@ -231,11 +231,10 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
 _CV_GRID_CELLS = 1 << 16
 
 # The first CV term's range is extended in steps of _TAIL_STEP rows while its
-# last summand is above _CV_TAIL_EPS; one kernel grid serves
-# _TAIL_STEPS_PER_GRID steps.
+# last summand is above _CV_TAIL_EPS; one kernel grid of _TAIL_ROWS rows
+# serves four steps.
 _TAIL_STEP = 16
-_TAIL_STEPS_PER_GRID = 4
-_TAIL_ROWS = _TAIL_STEP * _TAIL_STEPS_PER_GRID
+_TAIL_ROWS = 4 * _TAIL_STEP
 _CV_TAIL_EPS = 1e-12
 
 # Golden-section steps after the two initial probes of a selection.
@@ -271,28 +270,23 @@ class _CvEvaluator:
         terms = self._terms.get((lo, size))
         if terms is None:
             terms = self._terms[lo, size] = _GridTerms(self.kernel, np.arange(lo, lo + size), self.us)
-        grid = terms.at(hs)
-        return grid if hs.ndim else grid[None]
-
-    @staticmethod
-    def _steps(tails: np.ndarray) -> np.ndarray:
-        # (bandwidths, _TAIL_ROWS, ...) tail rows as a view of their 16-row steps
-        return tails.reshape(len(tails), _TAIL_STEPS_PER_GRID, _TAIL_STEP, *tails.shape[2:])
+        return terms.at(hs)
 
     # The first term's range grows past default_eval_hi, one step at a time,
     # until the summand at its end is at most _CV_TAIL_EPS; this matters for the
     # diffuse families whose mass extends well beyond the largest
     # observation.  Every observed value is a target, so the rows us of a
     # bandwidth's grid are the pair grid K_{us,h}(us).  Each bandwidth is
-    # reduced on its own 2-d slices (a stacked matmul runs one matrix-vector
-    # product per contiguous slice), so its score does not depend on which
-    # bandwidths share its grids, nor on whether its first tail was fused.
+    # reduced on its own 2-d slices, one matrix-vector product for the first
+    # range and one per 64-row tail (a stacked matmul runs one product per
+    # contiguous slice), so its score does not depend on which bandwidths
+    # share its grids, nor on whether its first tail was fused.
 
     def score(self, h: float) -> float:
         # Golden-section steps are adjacent in h, so a step after an extending
         # one builds its first range and first tail as one grid.
         validate_bandwidth(self.kernel, float(h))
-        return self._pass(np.float64(h), fused=self._extended)[0]
+        return self._pass(np.array([h], dtype=np.float64), fused=self._extended)[0]
 
     def scores(self, hs: np.ndarray) -> list[float]:
         # Up to _CV_GRID_CELLS (bandwidth, target, distinct value) cells per
@@ -315,7 +309,7 @@ class _CvEvaluator:
         sums = np.empty(grids.shape[:2])
         np.matmul(grids[:, :rows], cs, out=sums[:, :rows])
         if fused:
-            np.matmul(self._steps(grids[:, rows:]), cs, out=self._steps(sums[:, rows:]))
+            np.matmul(grids[:, rows:], cs, out=sums[:, rows:])
         sums /= n
         ends, extending = [rows] * hs.size, range(hs.size)
         while extending:
@@ -331,8 +325,7 @@ class _CvEvaluator:
             extending = [i for i in extending if sums[i, ends[i] - 1] > _CV_TAIL_EPS]
             if extending:
                 sums = np.concatenate([sums, np.zeros((hs.size, _TAIL_ROWS))], axis=1)
-                tails = self._grid(width, _TAIL_ROWS, hs[extending] if hs.ndim else hs)
-                self._steps(sums[:, width:])[extending] = self._steps(tails) @ cs / n
+                sums[extending, width:] = self._grid(width, _TAIL_ROWS, hs[extending]) @ cs / n
         self._extended = max(ends) > rows
         pair_grids = grids.take(self.us, axis=1)
         pair_rows = cs @ pair_grids

@@ -143,85 +143,85 @@ def _validate_tail_eps(tail_eps: float) -> None:
         raise ValueError(f"tail_eps must be in (0, 1), got {tail_eps!r}")
 
 
-class _GridTerms:
-    """The h-independent terms of one kernel's grid on fixed targets (rows)
-    and points (columns).
+# Largest (targets x points) grid, 128 MiB of float64.  Every dense kernel grid
+# (the CV terms, pmf_grid and the risk grids) is refused past it by _GridTerms.
+_MAX_GRID_CELLS = 1 << 24
 
-    In the standard families these log terms come first in the log mass,
-    which is summed left to right, so adding the h-dependent terms to them
-    gives the grid bit for bit.  They are -inf off the family's support,
-    whose cells therefore get exactly 0.  Callers that evaluate one grid at
-    many bandwidths build this once and call ``at`` for each.
+
+class _GridTerms:
+    """One kernel's grid on fixed targets (rows) and points (columns).
+
+    The constructor is the one place that dispatches on the family: it takes
+    the family's h-independent terms once and binds them to its h-dependent
+    arithmetic.  In the standard families these log terms come first in the
+    log mass, which is summed left to right, so adding the h-dependent terms
+    to them gives the grid bit for bit.  They are -inf off the family's
+    support, whose cells therefore get exactly 0.  Callers that evaluate one
+    grid at many bandwidths build this once and call ``at`` for each.
     """
 
-    __slots__ = ("kernel", "X", "parts")
+    __slots__ = ("X", "_at")
 
     def __init__(self, kernel: KernelSpec, xs, ys):
         xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
         ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
         _validate_targets(xs)
-        X = xs[:, None]
+        if xs.size * ys.size > _MAX_GRID_CELLS:
+            raise RuntimeError(f"the {kernel.label} kernel grid of {xs.size} targets x {ys.size} points is past "
+                               f"the dense-grid limit of {_MAX_GRID_CELLS} cells")
+        X = self.X = xs[:, None]
         Y = ys[None, :]
-        self.kernel = kernel
-        self.X = X
+        # Each family's arithmetic takes the bandwidths as a (bandwidths, 1, 1)
+        # array.  The standard families take one logarithm per target row, by the
+        # function that xlogy(y, .) calls per cell (finite for h > 0).
         fam = kernel.family
         if fam is KernelFamily.DIRAC:
-            self.parts = ((X == Y).astype(np.float64),)
+            grid = (X == Y).astype(np.float64)
+            self._at = lambda h: np.repeat(grid[None], h.size, axis=0)
         elif fam is KernelFamily.TRIANGULAR:
             d = np.abs(Y - X)
             band = np.flatnonzero(d <= kernel.arm)  # the cells where the kernel is not 0
-            self.parts = (d.shape, band, d.ravel()[band], np.arange(1.0, kernel.arm + 1.0))
+            d_band, k = d.ravel()[band], np.arange(1.0, kernel.arm + 1.0)
+
+            def triangular_at(h):
+                # One bandwidth at a time: a scalar exponent keeps every power
+                # identical to the per-cell formula; an array exponent does not.
+                grid = np.zeros((h.size, d.size))
+                for i, v in enumerate(h.ravel().tolist()):
+                    grid[i, band] = ((k.size + 1.0) ** v - d_band**v) / _triangular_normalizer(k, v)
+                return grid.reshape(h.size, *d.shape)
+
+            self._at = triangular_at
         elif fam is KernelFamily.POISSON:
             Yc = np.maximum(Y, 0.0)
-            self.parts = (Yc, np.where(Y >= 0, gammaln(Yc + 1.0), np.inf))  # subtracted
+            log_factorial = np.where(Y >= 0, gammaln(Yc + 1.0), np.inf)  # subtracted
+            self._at = lambda h: np.exp(Yc * xlogy(1.0, lam := X + h) - lam - log_factorial)
         elif fam is KernelFamily.BINOMIAL:
             m = X + 1.0
             Yc = np.minimum(np.maximum(Y, 0.0), m)
-            coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(m - Yc + 1.0)
-            self.parts = (m, Yc, m - Yc, np.where((Y >= 0) & (Y <= m), coef, -np.inf))
+            rest = m - Yc
+            coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(rest + 1.0)
+            log_coef = np.where((Y >= 0) & (Y <= m), coef, -np.inf)
+
+            def binomial_at(h):
+                p = (X + h) / m
+                return np.exp(log_coef + Yc * xlogy(1.0, p) + _times_log(rest, xlog1py(1.0, -p)))
+
+            self._at = binomial_at
         else:
-            r = X + 1.0  # r and 2x + 1 of _negbin_params do not depend on h
+            r, s = X + 1.0, 2.0 * X + 1.0  # r and 2x + 1 of _negbin_params do not depend on h
             Yc = np.maximum(Y, 0.0)
-            coef = gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r)
-            self.parts = (Yc, np.where(Y >= 0, coef, -np.inf), r, 2.0 * X + 1.0)
+            log_coef = np.where(Y >= 0, gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r), -np.inf)
+
+            def negbin_at(h):
+                q = r / (s + h)
+                return np.exp(log_coef + r * np.log(q) + _times_log(Yc, xlogy(1.0, 1.0 - q)))
+
+            self._at = negbin_at
 
     def at(self, hs: np.ndarray) -> np.ndarray:
-        """The grid at a validated scalar or 1-d array of bandwidths."""
-        fam = self.kernel.family
-        X = self.X
-
-        if fam is KernelFamily.DIRAC:
-            (grid,) = self.parts
-            return np.repeat(grid[None], hs.size, axis=0) if hs.ndim else grid
-
-        if fam is KernelFamily.TRIANGULAR:
-            # One bandwidth at a time: a scalar exponent keeps every power
-            # identical to the scalar call, which an array exponent does not.
-            shape, band, d, k = self.parts
-            grid = np.zeros((hs.size, shape[0] * shape[1]))
-            for i, v in enumerate(map(float, hs.flat)):
-                grid[i, band] = ((k.size + 1.0) ** v - d**v) / _triangular_normalizer(k, v)
-            grid = grid.reshape(hs.size, *shape)
-            return grid if hs.ndim else grid[0]
-
-        # The standard families broadcast over a leading bandwidth axis.
-        h = hs[:, None, None] if hs.ndim else float(hs)
-
-        # One logarithm per target row, taken by the function that xlogy(y, .)
-        # calls per cell; log(x + h) and log p are finite for h > 0.
-        if fam is KernelFamily.POISSON:
-            Yc, log_factorial = self.parts
-            lam = X + h
-            logp = Yc * xlogy(1.0, lam) - lam - log_factorial
-        elif fam is KernelFamily.BINOMIAL:
-            m, Yc, rest, log_coef = self.parts
-            p = (X + h) / m
-            logp = log_coef + Yc * xlogy(1.0, p) + _times_log(rest, xlog1py(1.0, -p))
-        else:
-            Yc, log_coef, r, s = self.parts
-            q = r / (s + h)
-            logp = log_coef + r * np.log(q) + _times_log(Yc, xlogy(1.0, 1.0 - q))
-        return np.exp(logp)
+        """The grid at a validated 1-d array of bandwidths, as (bandwidths, rows, columns)."""
+        return self._at(hs[:, None, None])
 
 
 def _times_log(count: np.ndarray, log_row: np.ndarray) -> np.ndarray:
@@ -235,29 +235,18 @@ def _times_log(count: np.ndarray, log_row: np.ndarray) -> np.ndarray:
     return product
 
 
-def pmf_grid(kernel: KernelSpec, xs, h, ys) -> np.ndarray:
-    """Kernel mass K_{x,h}(y) on the grid targets-by-points.
+def pmf_grid(kernel: KernelSpec, xs, h: float, ys) -> np.ndarray:
+    """Kernel mass K_{x,h}(y) on the grid targets-by-points, of shape (len(xs), len(ys)).
 
     Parameters
     ----------
     xs : array-like of non-negative integer targets (rows).
-    h : bandwidth, or a 1-d array of bandwidths; each is validated against
-        the family.
+    h : one bandwidth, validated against the family.
     ys : array-like of integer evaluation points (columns); points outside
         the family's support get exactly 0.
-
-    Returns
-    -------
-    ndarray of shape (len(xs), len(ys)) for a scalar h, and of shape
-    (len(h), len(xs), len(ys)) for a 1-d h, whose slice i equals the grid
-    at h[i] bit for bit.
     """
-    hs = np.asarray(h, dtype=np.float64)
-    if hs.ndim > 1:
-        raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
-    for value in hs.flat:
-        validate_bandwidth(kernel, float(value))
-    return _GridTerms(kernel, xs, ys).at(hs)
+    validate_bandwidth(kernel, h)
+    return _GridTerms(kernel, xs, ys).at(np.array([h], dtype=np.float64))[0]
 
 
 def _negbin_params(x, h):

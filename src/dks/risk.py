@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .kernels import KernelSpec, _tail_index, kernel_mean, kernel_support, kernel_variance, pmf_grid, poisson
+from .kernels import (_TAIL_SCAN_LIMIT, KernelSpec, _tail_index, kernel_mean, kernel_support, kernel_variance,
+                      pmf_grid, poisson)
 
 __all__ = [
     "TruePmf",
@@ -78,7 +79,11 @@ class PoissonPmf(TruePmf):
 
     def tail_cutoff(self, eps: float = 1e-12) -> int:
         # Poisson(mu) is the poisson kernel at target 0 with bandwidth mu.
-        return _tail_index(poisson(), 0, self.mu, eps)[0]
+        try:
+            return _tail_index(poisson(), 0, self.mu, eps)[0]
+        except RuntimeError:  # the scan's limit, which the scan reports for the kernel
+            raise RuntimeError(f"the truth {self.label()} keeps more than {eps!r} of its mass past the tail scan "
+                               f"limit of {_TAIL_SCAN_LIMIT}") from None
 
     def label(self) -> str:
         return f"poisson(mu={self.mu:g})"

@@ -213,6 +213,41 @@ class TestRisk:
             f"past the tail scan limit of 16777216\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, eps",
+        [
+            (("risk", "--true", "poisson:1e300", "--kernel", "binomial", "--h", "0.5", "--n", "10"), "1e-16"),
+            (("simulate", "--true", "poisson:1e300", "--sizes", "15", "--replicates", "2", "--kernels", "dirac"),
+             "1e-12"),
+        ],
+        ids=["risk", "simulate"],
+    )
+    def test_truth_past_the_tail_scan_limit_names_the_truth(self, capsys, argv, eps):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: the truth poisson(mu=1e+300) keeps more than {eps} of its mass "
+            f"past the tail scan limit of 16777216\n"
+        )
+
+    def test_grid_past_the_cell_limit_is_runtime_error(self, capsys):
+        # a 31,227 x 31,228 risk grid (7.27 GiB) is refused before it is built
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "risk", "--true", "poisson:3e4", "--kernel", "binomial", "--h", "0.5",
+                                 "--n", "10")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the binomial kernel grid of 31227 targets x 31228 points is past the dense-grid "
+            "limit of 16777216 cells\n"
+        )
+        assert peak < 64 << 20
+
     def test_allocation_failure_is_runtime_error(self, capsys, monkeypatch):
         # a risk grid too large to allocate; raised here without allocating
         message = "Unable to allocate 731. TiB for an array with shape (10022250, 10022251) and data type float64"
@@ -241,6 +276,15 @@ class TestKernelInfo:
         assert code == 1
         assert out == ""
         assert err == "usage error: --x-max must be >= 0, got -1\n"
+
+    def test_too_many_rows_is_usage_error(self, capsys):
+        # refused before a row is built; 1e8 rows would take hours
+        code, out, err = run(capsys, "kernel-info", "--kernel", "poisson", "--x-max", "100000000", "--h-list", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --x-max and --h-list make 100000001 rows, past the limit of 100000\n"
+        code, out, err = run(capsys, "kernel-info", "--kernel", "poisson", "--x-max", "49999", "--h-list", "0.5,1,2")
+        assert (code, out) == (1, "")
+        assert err == "usage error: --x-max and --h-list make 150000 rows, past the limit of 100000\n"
 
 
 class TestDiracBandwidth:

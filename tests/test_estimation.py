@@ -241,18 +241,21 @@ class TestCvScore:
 class TestBatchedCv:
     @pytest.mark.parametrize("kernel", [D, B, P, NB, T1, K.triangular(3)])
     def test_array_h_grid_equals_stacked_scalar_grids(self, kernel):
-        hs = [0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 29)
+        hs = np.array([0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 29))
         xs, ys = np.arange(0, 40), np.array([0, 1, 2, 5, 9, 17, 33, 45])
-        grids = K.pmf_grid(kernel, xs, hs, ys)
+        grids = K._GridTerms(kernel, xs, ys).at(hs)
         assert grids.shape == (len(hs), len(xs), len(ys))
         want = np.stack([K.pmf_grid(kernel, xs, float(h), ys) for h in hs])
         np.testing.assert_array_equal(grids, want)
 
     def test_array_h_validates_every_bandwidth(self):
-        with pytest.raises(ValueError):
-            K.pmf_grid(B, [0, 1], [0.5, 1.5], [0, 1])
-        with pytest.raises(ValueError):
-            K.pmf_grid(P, [0, 1], [[0.5]], [0, 1])
+        sample = E.Sample.from_values([0, 1, 4])
+        with pytest.raises(ValueError, match=r"binomial kernel needs h in \(0, 1\], got 1\.5"):
+            E.cv_score(sample, B, [0.5, 1.5])
+        with pytest.raises(ValueError, match=r"poisson kernel needs h > 0, got -0\.5"):
+            E.cv_score(sample, P, np.array([0.5, 1.0, -0.5]))
+        with pytest.raises(TypeError):
+            K.pmf_grid(B, [0, 1], [0.5, 1.5], [0, 1])  # one bandwidth per grid
         assert K.pmf_grid(P, [0, 1], 0.5, [0, 1, 2]).shape == (2, 3)
 
     @pytest.mark.parametrize("kernel,h_hi", [(B, 1.0), (P, 5.0), (NB, 5.0), (T1, 10.0)])
@@ -370,11 +373,14 @@ class TestCvEvaluator:
     @pytest.mark.parametrize("kernel", [D, B, P, NB, T1, K.triangular(3)])
     def test_cached_terms_give_the_grid_bitwise(self, kernel):
         xs, ys = np.arange(0, 40), np.array([0, 1, 2, 5, 9, 17, 33, 45])
+        # one set of terms, evaluated at a batch and then at each bandwidth in
+        # turn, against grids built from scratch
         terms = K._GridTerms(kernel, xs, ys)
         hs = np.array([0.0, 0.0] if kernel is D else np.geomspace(1e-3, 1.0 if kernel is B else 7.0, 9))
-        np.testing.assert_array_equal(terms.at(hs), K.pmf_grid(kernel, xs, hs, ys))
-        for h in hs:
-            np.testing.assert_array_equal(terms.at(h), K.pmf_grid(kernel, xs, h, ys))
+        fresh = [K.pmf_grid(kernel, xs, h, ys) for h in hs]
+        np.testing.assert_array_equal(terms.at(hs), np.stack(fresh))
+        for h, want in zip(hs, fresh):
+            np.testing.assert_array_equal(terms.at(np.array([h]))[0], want)
 
     def test_terms_built_once_per_target_range(self, monkeypatch):
         # one selection builds the h-independent terms of each target range

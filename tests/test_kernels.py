@@ -163,27 +163,40 @@ class TestGridBits:
         ids=lambda v: v.label if isinstance(v, K.KernelSpec) else None,
     )
     def test_wide_grid_scalar_and_array_bandwidths(self, kernel, hs):
+        # pmf_grid at each bandwidth, and one set of grid terms at all of them
+        # at once and at each in turn
         xs, ys = self.WIDE_XS, self.WIDE_YS
         wants = [per_cell_grid(kernel, xs, h, ys) for h in hs]
         for h, want in zip(hs, wants):
             assert_same_bits(K.pmf_grid(kernel, xs, h, ys), want)
-        assert_same_bits(K.pmf_grid(kernel, xs, np.array(hs), ys), np.stack(wants))
         terms = K._GridTerms(kernel, xs, ys)
         assert_same_bits(terms.at(np.array(hs)), np.stack(wants))
         for h, want in zip(hs, wants):
-            assert_same_bits(terms.at(np.float64(h)), want)
+            assert_same_bits(terms.at(np.array([h])), want[None])
 
     def test_binomial_where_the_success_probability_rounds_to_one(self):
         # at h = 1, and where x + h rounds to x + 1 below h = 1, log(1 - p)
-        # is -inf; the point y = x + 1 then carries all the mass
+        # is -inf; the point y = x + 1 then carries all the mass.  In a stack
+        # with h = 0.5 the finite rows take the -inf rows' branch too.
         x, h = 100_000, 1.0 - 1e-12
         assert (x + h) / (x + 1.0) == 1.0
         xs, ys = [0, 3, x - 1, x], np.array([0, 1, 3, 4, 5, x - 1, x, x + 1, x + 2])
-        for hs in (1.0, h, np.array([0.5, 1.0, h])):
-            want = np.stack([per_cell_grid(B, xs, v, ys) for v in np.atleast_1d(hs)])
-            got = K.pmf_grid(B, xs, hs, ys)
-            assert_same_bits(got, want if np.ndim(hs) else want[0])
+        hs = [0.5, 1.0, h]
+        wants = [per_cell_grid(B, xs, v, ys) for v in hs]
+        for v, want in zip(hs, wants):
+            assert_same_bits(K.pmf_grid(B, xs, v, ys), want)
+        assert_same_bits(K._GridTerms(B, xs, ys).at(np.array(hs)), np.stack(wants))
         assert K.kernel_pmf(B, x, h, x + 1) == 1.0 and K.kernel_pmf(B, x, h, x) == 0.0
+
+    def test_grid_past_the_cell_limit_is_refused(self, monkeypatch):
+        # checked on the shape, before any grid-sized array is built
+        with pytest.raises(RuntimeError, match=r"binomial kernel grid of 5000 targets x 4000 points .* 16777216 cells"):
+            K.pmf_grid(B, np.arange(5000), 0.5, np.arange(4000))
+        monkeypatch.setattr(K, "_MAX_GRID_CELLS", 12)
+        assert K.pmf_grid(P, [0, 1, 2], 0.5, [0, 1, 2, 3]).shape == (3, 4)
+        for kernel in (D, B, P, NB, T1):
+            with pytest.raises(RuntimeError, match=r"grid of 3 targets x 5 points is past the dense-grid limit of 12"):
+                K._GridTerms(kernel, [0, 1, 2], [0, 1, 2, 3, 4])
 
     def test_negbin_small_bandwidth(self):
         xs, ys = self.WIDE_XS, self.WIDE_YS

@@ -3,11 +3,16 @@
 Usage: python3 tools/cli_identity.py TREE OUTDIR
 
 Each command runs in a subprocess with ``TREE/src`` on the path, in its own
-working directory ``OUTDIR/<name>``.  That directory then holds ``stdout``,
-``stderr``, ``exit`` (the exit code), the input files ``wide.txt``,
-``counts.csv`` and ``bad.csv``, and any file the command wrote; ``--out``
-paths are relative, so the path that ``simulate`` echoes is the same for
-every tree.  Two trees give the same CLI output when
+working directory ``OUTDIR/<name>``, with its address space capped at 3 GiB
+and a timeout of 300 s (the slowest command, ``reproduce --table 3``, takes
+about 17 s on 2 vCPUs), so that a tree which mishandles an out-of-range
+command fails in that command rather than exhausting the host.  The
+directory then holds ``stdout``, ``stderr``, ``exit`` (the exit code, or
+``timeout`` when the command was stopped at the timeout), the input files
+``wide.txt``, ``counts.csv`` and ``bad.csv``, and any file the command
+wrote; ``--out`` paths are relative, so the path that ``simulate`` echoes is
+the same for every tree.  The cap does not change the output of a command
+that stays under it.  Two trees give the same CLI output when
 
     diff -r OUTDIR_A OUTDIR_B
 
@@ -19,7 +24,11 @@ a sample size below 2, a negative ``--h``, a binomial ``--h-list`` value
 above 1, a zero ``--n``, a negative or an infinite Poisson mean and a
 triangular arm of 0), so that their exit codes and messages are pinned too,
 and the runtime error of a poisson or negbin ``risk`` at ``--h 1e300``, whose
-kernel tail lies past the tail scan's limit.
+kernel tail lies past the tail scan's limit.  The out-of-range commands that
+need the cap are ``risk`` and ``simulate`` against a Poisson(1e300) truth,
+whose tail lies past the same limit, ``risk`` against a Poisson(3e4) truth,
+whose dense risk grid would take 7.27 GiB, and ``kernel-info`` with an
+``--x-max`` of 1e8, which would print 1e8 rows.
 
 The built-in samples span at most 35 integers, so the set also runs
 ``estimate --cv`` and ``cv`` on ``wide.txt``, a fixed sample spanning 0..400
@@ -37,8 +46,11 @@ value, ``cv`` and ``estimate --cv``, which are usage errors.
 from __future__ import annotations
 
 import os
+import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 _KERNELS = ("binomial", "poisson", "negbin", "triangular", "triangular:2")
@@ -47,6 +59,8 @@ _INPUTS = {
     "counts.csv": "Value,Count\n3,4\n0,2\n3,1\n7,0\n12,5\n1,3\n",
     "bad.csv": "value,count\n2,5\n4,-1\n6,2\n",
 }
+_ADDRESS_SPACE = 3 << 30  # bytes, per command
+_TIMEOUT_S = 300
 _SIMULATE = ["simulate", "--true", "poisson:2", "--sizes", "15,25", "--replicates", "20",
              "--kernels", "dirac,binomial,poisson,negbin,triangular:1", "--seed", "7"]
 
@@ -117,7 +131,20 @@ def _commands() -> list[tuple[str, list[str], dict[str, str]]]:
     for k in ("poisson", "negbin"):
         cmds.append((f"risk-huge-h-{k}", ["risk", "--true", "poisson:2", "--kernel", k, "--h", "1e300",
                                           "--n", "10"], {}))
+    risk = ["--kernel", "binomial", "--h", "0.5", "--n", "10"]
+    cmds += [
+        ("risk-huge-mean", ["risk", "--true", "poisson:1e300", *risk], {}),
+        ("simulate-huge-mean", ["simulate", "--true", "poisson:1e300", "--sizes", "15", "--replicates", "2",
+                                "--kernels", "dirac"], {}),
+        ("risk-dense-grid-past-limit", ["risk", "--true", "poisson:3e4", *risk], {}),
+        ("kernel-info-huge-x-max", ["kernel-info", "--kernel", "poisson", "--x-max", "100000000",
+                                    "--h-list", "0.5"], {}),
+    ]
     return cmds
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
 
 
 def main(argv: list[str]) -> int:
@@ -138,12 +165,22 @@ def main(argv: list[str]) -> int:
         for filename, text in _INPUTS.items():
             (workdir / filename).write_text(text, encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(src), "DKS_THREADS": "1", **extra}
-        proc = subprocess.run([sys.executable, "-m", "dks", *args], cwd=workdir, env=env,
-                              capture_output=True, check=False)
-        (workdir / "stdout").write_bytes(proc.stdout)
-        (workdir / "stderr").write_bytes(proc.stderr)
-        (workdir / "exit").write_text(f"{proc.returncode}\n")
-        print(f"{name}: exit {proc.returncode}")
+        start = time.monotonic()
+        # In a session of its own, so that a timeout stops its pool workers too.
+        with subprocess.Popen([sys.executable, "-m", "dks", *args], cwd=workdir, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              preexec_fn=_cap_address_space, start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=_TIMEOUT_S)
+                code = proc.returncode
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                stdout, stderr = proc.communicate()
+                code = "timeout"
+        (workdir / "stdout").write_bytes(stdout)
+        (workdir / "stderr").write_bytes(stderr)
+        (workdir / "exit").write_text(f"{code}\n")
+        print(f"{name}: exit {code} ({time.monotonic() - start:.1f} s)")
     return 0
 
 
