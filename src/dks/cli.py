@@ -373,7 +373,8 @@ def run_cli(argv=None) -> int:
     except BrokenPipeError:
         raise  # the caller owns stdout; main() handles a closed pipe
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a failed Python-level allocation raises MemoryError without a message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

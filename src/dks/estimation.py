@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, _GridTerms, pmf_grid, validate_bandwidth
+from .kernels import KernelFamily, KernelSpec, _GridTerms, _Scratch, pmf_grid, validate_bandwidth
 
 __all__ = [
     "Sample",
@@ -252,7 +252,10 @@ class _CvEvaluator:
     target range (0..default_eval_hi, each tail extension, and the first
     range with the first tail) are built on first use and kept for the
     evaluator's lifetime, so each bandwidth pays only its h-dependent
-    arithmetic.
+    arithmetic.  That arithmetic writes into two sets of scratch arrays that
+    the evaluator owns, one for the first range and its pair grid and one for
+    the tails, so once a range's terms are built, evaluating it allocates no
+    grid-sized array.
     """
 
     def __init__(self, sample: Sample, kernel: KernelSpec):
@@ -263,13 +266,16 @@ class _CvEvaluator:
         self.us, self.cs, self.n = sample.distinct_values, sample.value_counts, sample.n
         self.rows = default_eval_hi(sample) + 1
         self._terms: dict[tuple[int, int], _GridTerms] = {}
+        self._first, self._tail = _Scratch(), _Scratch()
         self._extended = False
 
     def _grid(self, lo: int, size: int, hs: np.ndarray) -> np.ndarray:
-        # K_{x,h}(us) on the targets x = lo..lo+size-1, as (bandwidths, x, us)
+        # K_{x,h}(us) on the targets x = lo..lo+size-1, as (bandwidths, x, us);
+        # the first range's grid outlives the tails built while it is reduced
         terms = self._terms.get((lo, size))
         if terms is None:
             terms = self._terms[lo, size] = _GridTerms(self.kernel, np.arange(lo, lo + size), self.us)
+            terms.scratch = self._first if lo == 0 else self._tail
         return terms.at(hs)
 
     # The first term's range grows past default_eval_hi, one step at a time,
@@ -327,7 +333,10 @@ class _CvEvaluator:
                 sums = np.concatenate([sums, np.zeros((hs.size, _TAIL_ROWS))], axis=1)
                 sums[extending, width:] = self._grid(width, _TAIL_ROWS, hs[extending]) @ cs / n
         self._extended = max(ends) > rows
-        pair_grids = grids.take(self.us, axis=1)
+        # every index is a row of grids, so mode="wrap" copies the same cells
+        # as the default, which would gather through a fresh buffer
+        pair_grids = grids.take(self.us, axis=1, out=self._first.get("pairs", (hs.size, self.us.size, self.us.size)),
+                                mode="wrap")
         pair_rows = cs @ pair_grids
         diagonals = pair_grids.diagonal(axis1=1, axis2=2)
         scores = []

@@ -147,6 +147,52 @@ def _validate_tail_eps(tail_eps: float) -> None:
 # (the CV terms, pmf_grid and the risk grids) is refused past it by _GridTerms.
 _MAX_GRID_CELLS = 1 << 24
 
+# np.exp gives exactly +0.0 for every argument below -745.1332, so a binomial
+# grid writes +0.0 into the cells whose log mass is below this cut instead of
+# evaluating them: an underflowing exp costs about 18 times a finite one.
+_EXP_UNDERFLOW_CUT = -746.0
+# Smallest binomial grid, in cells per bandwidth, that takes the masked exp.
+# The share of cells below the cut grows with the grid's width: the mask costs
+# more than it saves below about 7,000 cells and wins at every bandwidth from
+# about 12,000.
+_MASKED_EXP_CELLS = 1 << 13
+
+
+class _Scratch:
+    """Arrays that one caller reuses across grid evaluations.
+
+    Each key names one flat buffer, and a request gets a view of its leading
+    cells in the shape asked for, so one buffer serves every grid up to the
+    largest it has held.  A grid returned into a _Scratch is overwritten by
+    the next evaluation into it.
+    """
+
+    __slots__ = ("_flat", "_views")
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+        self._views: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+
+    def get(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        view = self._views.get((key, shape))
+        if view is None:
+            size = math.prod(shape)
+            flat = self._flat.get(key)
+            if flat is None or flat.size < size:
+                flat = self._flat[key] = np.empty(size, dtype)
+                self._views = {k: v for k, v in self._views.items() if k[0] != key}  # views of the old buffer
+            view = self._views[key, shape] = flat[:size].reshape(shape)
+        return view
+
+
+class _Fresh:
+    """The scratch of a one-shot grid: every request is a fresh array, so the
+    grid is the caller's."""
+
+    @staticmethod
+    def get(key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
 
 class _GridTerms:
     """One kernel's grid on fixed targets (rows) and points (columns).
@@ -158,9 +204,13 @@ class _GridTerms:
     to them gives the grid bit for bit.  They are -inf off the family's
     support, whose cells therefore get exactly 0.  Callers that evaluate one
     grid at many bandwidths build this once and call ``at`` for each.
+
+    The grid and the family's work arrays come from ``scratch``.  A caller
+    that evaluates many grids sets it to a _Scratch that it owns, and may
+    share between terms; the next evaluation into it overwrites the grid.
     """
 
-    __slots__ = ("X", "_at")
+    __slots__ = ("X", "scratch", "_cols", "_at")
 
     def __init__(self, kernel: KernelSpec, xs, ys):
         xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
@@ -171,41 +221,73 @@ class _GridTerms:
                                f"the dense-grid limit of {_MAX_GRID_CELLS} cells")
         X = self.X = xs[:, None]
         Y = ys[None, :]
+        self._cols, self.scratch = ys.size, _Fresh
         # Each family's arithmetic takes the bandwidths as a (bandwidths, 1, 1)
-        # array.  The standard families take one logarithm per target row, by the
-        # function that xlogy(y, .) calls per cell (finite for h > 0).
+        # array, a _Scratch and the grid's shape.  Every grid-sized step writes
+        # into one of the scratch's buffers (the ufuncs' third argument), in the
+        # order of the per-cell formula.  The standard families take one
+        # logarithm per target row, by the function that xlogy(y, .) calls per
+        # cell (finite for h > 0).
         fam = kernel.family
         if fam is KernelFamily.DIRAC:
             grid = (X == Y).astype(np.float64)
-            self._at = lambda h: np.repeat(grid[None], h.size, axis=0)
+
+            def dirac_at(h, scratch, shape):
+                out = scratch.get("grid", shape)
+                out[...] = grid
+                return out
+
+            self._at = dirac_at
         elif fam is KernelFamily.TRIANGULAR:
             d = np.abs(Y - X)
             band = np.flatnonzero(d <= kernel.arm)  # the cells where the kernel is not 0
             d_band, k = d.ravel()[band], np.arange(1.0, kernel.arm + 1.0)
 
-            def triangular_at(h):
+            def triangular_at(h, scratch, shape):
                 # One bandwidth at a time: a scalar exponent keeps every power
                 # identical to the per-cell formula; an array exponent does not.
-                grid = np.zeros((h.size, d.size))
+                out = scratch.get("grid", shape)
+                out.fill(0.0)
+                flat = out.reshape(h.size, d.size)
                 for i, v in enumerate(h.ravel().tolist()):
-                    grid[i, band] = ((k.size + 1.0) ** v - d_band**v) / _triangular_normalizer(k, v)
-                return grid.reshape(h.size, *d.shape)
+                    flat[i, band] = ((k.size + 1.0) ** v - d_band**v) / _triangular_normalizer(k, v)
+                return out
 
             self._at = triangular_at
         elif fam is KernelFamily.POISSON:
             Yc = np.maximum(Y, 0.0)
             log_factorial = np.where(Y >= 0, gammaln(Yc + 1.0), np.inf)  # subtracted
-            self._at = lambda h: np.exp(Yc * xlogy(1.0, lam := X + h) - lam - log_factorial)
+
+            def poisson_at(h, scratch, shape):
+                # Yc * log(lam) - lam - log(y!)
+                lam = X + h
+                out = np.multiply(Yc, xlogy(1.0, lam), scratch.get("grid", shape))
+                np.subtract(out, lam, out)
+                np.subtract(out, log_factorial, out)
+                return np.exp(out, out)
+
+            self._at = poisson_at
         elif fam is KernelFamily.BINOMIAL:
             m = X + 1.0
             Yc = np.minimum(np.maximum(Y, 0.0), m)
             rest = m - Yc
             coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(rest + 1.0)
             log_coef = np.where((Y >= 0) & (Y <= m), coef, -np.inf)
+            masked = log_coef.size >= _MASKED_EXP_CELLS
 
-            def binomial_at(h):
+            def binomial_at(h, scratch, shape):
+                # log_coef + Yc * log(p) + rest * log(1 - p)
                 p = (X + h) / m
-                return np.exp(log_coef + Yc * xlogy(1.0, p) + _times_log(rest, xlog1py(1.0, -p)))
+                out = np.multiply(Yc, xlogy(1.0, p), scratch.get("grid", shape))
+                np.add(log_coef, out, out)
+                np.add(out, _times_log(rest, xlog1py(1.0, -p), scratch.get("work", shape)), out)
+                if not masked:
+                    return np.exp(out, out)
+                # ~(logs < cut), so that a NaN still reaches exp; the cells left
+                # out keep log masses below the cut, which the maximum makes +0.0
+                live = np.less(out, _EXP_UNDERFLOW_CUT, scratch.get("live", shape, np.bool_))
+                np.exp(out, out=out, where=np.logical_not(live, live))
+                return np.maximum(out, 0.0, out=out)
 
             self._at = binomial_at
         else:
@@ -213,26 +295,29 @@ class _GridTerms:
             Yc = np.maximum(Y, 0.0)
             log_coef = np.where(Y >= 0, gammaln(Yc + r) - gammaln(Yc + 1.0) - gammaln(r), -np.inf)
 
-            def negbin_at(h):
+            def negbin_at(h, scratch, shape):
+                # log_coef + r * log(q) + Yc * log(1 - q)
                 q = r / (s + h)
-                return np.exp(log_coef + r * np.log(q) + _times_log(Yc, xlogy(1.0, 1.0 - q)))
+                out = np.add(log_coef, r * np.log(q), scratch.get("grid", shape))
+                np.add(out, _times_log(Yc, xlogy(1.0, 1.0 - q), scratch.get("work", shape)), out)
+                return np.exp(out, out)
 
             self._at = negbin_at
 
     def at(self, hs: np.ndarray) -> np.ndarray:
         """The grid at a validated 1-d array of bandwidths, as (bandwidths, rows, columns)."""
-        return self._at(hs[:, None, None])
+        return self._at(hs[:, None, None], self.scratch, (hs.size, self.X.size, self._cols))
 
 
-def _times_log(count: np.ndarray, log_row: np.ndarray) -> np.ndarray:
-    # count * log per cell, but xlogy's 0, not NaN, for a zero count on a row
-    # whose log is -inf (binomial p = 1, negbin q = 1)
+def _times_log(count: np.ndarray, log_row: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # count * log per cell into out, but xlogy's 0, not NaN, for a zero count
+    # on a row whose log is -inf (binomial p = 1, negbin q = 1)
     if log_row.min() > -np.inf:
-        return count * log_row
+        return np.multiply(count, log_row, out)
     with np.errstate(invalid="ignore"):
-        product = count * log_row
-    np.copyto(product, 0.0, where=count == 0)  # in place: no second grid
-    return product
+        np.multiply(count, log_row, out)
+    np.copyto(out, 0.0, where=count == 0)
+    return out
 
 
 def pmf_grid(kernel: KernelSpec, xs, h: float, ys) -> np.ndarray:

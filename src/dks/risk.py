@@ -210,7 +210,7 @@ def exact_mise(
         raise ValueError("n must be >= 1")
     x_max = f.tail_cutoff(integration_tail)
     xs, ys, G, fy = _risk_grids(kernel, h, f, x_max, tail_eps)
-    fx = f.pmf(xs)
+    fx = fy[: x_max + 1]  # xs is the prefix 0..x_max of ys
     Ef = G @ fy
     m2 = (G * G) @ fy
     modal = G[np.arange(len(xs)), xs]
@@ -282,6 +282,6 @@ def expected_normalization(
         eval_hi = f.tail_cutoff(1e-12)
     xs, ys, G, fy = _risk_grids(kernel, h, f, eval_hi, tail_eps)
     Ef = G @ fy
-    fx = f.pmf(xs)
+    fx = fy[: eval_hi + 1]  # xs is the prefix 0..eval_hi of ys
     keep = xs >= eval_lo
     return 1.0 + float(np.sum(Ef[keep] - fx[keep]))

@@ -260,6 +260,15 @@ class TestRisk:
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
 
+    def test_allocation_failure_without_a_message(self, capsys, monkeypatch):
+        # what a failed Python-level allocation raises
+        def exact_mise(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "exact_mise", exact_mise)
+        code, out, err = run(capsys, "risk", "--true", "poisson:2", "--kernel", "binomial", "--h", "0.5", "--n", "10")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+
 
 class TestKernelInfo:
     def test_table_columns(self, capsys, tmp_path):

@@ -105,6 +105,14 @@ class TestKernelEstimateRaw:
         with pytest.raises(ValueError):
             E.kernel_estimate_raw(SAFOU, B, 0.1, -2, 5)
 
+    @pytest.mark.parametrize("kernel", [B, P, NB, T1])
+    def test_estimate_is_not_overwritten_by_the_next(self, kernel):
+        sample = E.Sample.from_values(np.random.default_rng(4).integers(0, 300, 250))
+        first = E.kernel_estimate_raw(sample, kernel, 0.3).values
+        before = [v.hex() for v in first.tolist()]
+        E.kernel_estimate_raw(sample, kernel, 0.7)
+        assert [v.hex() for v in first.tolist()] == before
+
     def test_reconstruction_identity_binomial(self):
         # order of summation cannot matter: C equals the per-observation
         # kernel mass totals averaged over the sample
@@ -143,6 +151,18 @@ class TestNormalize:
             sample = E.Sample.from_values(rng.poisson(2.0, 30))
             out = E.normalize_estimate(E.kernel_estimate_raw(sample, kernel, h))
             assert out.total() == pytest.approx(1.0, abs=1e-12)
+
+
+def tracemalloc_peak(evaluate):
+    """Peak bytes that tracemalloc sees while evaluate() runs."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        evaluate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def reference_cv_score(sample, kernel, h, tail_eps=1e-12):
@@ -324,6 +344,27 @@ class TestBatchedCv:
         single = peak(lambda: E.cv_score(sample, B, 0.3))
         batched = peak(lambda: E.cv_score(sample, B, [0.01, 0.1, 0.3, 1.0]))
         assert batched < 1.05 * single
+
+    def test_negbin_batch_peak_memory_is_one_evaluation(self):
+        # the bound above, for negbin: its bandwidths extend the first term to
+        # different depths and the evaluator keeps every tail range's terms,
+        # but every grid comes from the evaluator's scratch
+        sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 400, 400))
+        single = tracemalloc_peak(lambda: E.cv_score(sample, NB, 0.3))
+        batched = tracemalloc_peak(lambda: E.cv_score(sample, NB, [0.01, 0.1, 0.3, 1.0]))
+        assert batched < 1.05 * single
+
+    @pytest.mark.parametrize("kernel", [B, P, NB, T1])
+    def test_wide_sample_score_reuses_the_evaluators_grids(self, kernel):
+        # once a range's terms and scratch exist, a score allocates no grid:
+        # its peak stays below the bytes of one first-range grid
+        sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 400, 400))
+        evaluator = E._CvEvaluator(sample, kernel)
+        evaluator.score(0.3)
+        if evaluator._extended:  # the next step fuses the first tail: a new range
+            evaluator.score(0.2)
+        peak = tracemalloc_peak(lambda: evaluator.score(0.5))
+        assert peak < evaluator.rows * sample.distinct_values.size * 8
 
     def test_cv_score_equals_reference_loop(self):
         rng = np.random.default_rng(8)

@@ -198,6 +198,51 @@ class TestGridBits:
             with pytest.raises(RuntimeError, match=r"grid of 3 targets x 5 points is past the dense-grid limit of 12"):
                 K._GridTerms(kernel, [0, 1, 2], [0, 1, 2, 3, 4])
 
+    @pytest.mark.parametrize("kernel", [D, B, P, NB, T1], ids=lambda k: k.label)
+    def test_returned_grid_is_the_callers(self, kernel):
+        # a one-shot grid owns its array: a second call does not write into it
+        xs, ys = self.WIDE_XS, self.WIDE_YS
+        h1, h2 = (0.0, 0.0) if kernel is D else (0.3, 0.7)
+        first = K.pmf_grid(kernel, xs, h1, ys)
+        before = [v.hex() for v in first.ravel().tolist()]
+        K.pmf_grid(kernel, xs, h2, ys)
+        assert [v.hex() for v in first.ravel().tolist()] == before
+        terms = K._GridTerms(kernel, xs, ys)
+        first = terms.at(np.array([h1]))
+        before = [v.hex() for v in first.ravel().tolist()]
+        terms.at(np.array([h2]))
+        assert [v.hex() for v in first.ravel().tolist()] == before
+
+    def test_exp_is_exactly_zero_below_the_underflow_cut(self):
+        # the masked exp writes +0.0 below the cut, so exp must give +0.0 there;
+        # the array is long enough for numpy's vector loop
+        below = [K._EXP_UNDERFLOW_CUT]
+        for _ in range(16):
+            below.append(float(np.nextafter(below[-1], -np.inf)))
+        below += [K._EXP_UNDERFLOW_CUT - 1.0, -1e300, -np.inf]
+        assert {v.hex() for v in np.exp(np.array(below * 8)).tolist()} == {"0x0.0p+0"}
+        assert {float(np.exp(np.float64(v))).hex() for v in below} == {"0x0.0p+0"}
+
+    @pytest.mark.parametrize("h", [1e-4, 0.1, 0.5, 1.0])
+    def test_wide_binomial_grid_equals_dense_exp(self, h):
+        # a grid wide enough for the masked exp equals np.exp of its whole log
+        # grid, bit for bit, where most cells are below the cut
+        xs, ys = self.WIDE_XS, self.WIDE_YS
+        assert xs.size * ys.size >= K._MASKED_EXP_CELLS
+        X, Y = xs[:, None].astype(np.float64), ys[None, :].astype(np.float64)
+        m = X + 1.0
+        Yc = np.minimum(np.maximum(Y, 0.0), m)
+        p = (X + h) / m
+        coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(m - Yc + 1.0)
+        logs = np.where((Y >= 0) & (Y <= m), coef + xlogy(Yc, p) + xlog1py(m - Yc, -p), -np.inf)
+        assert (logs < K._EXP_UNDERFLOW_CUT).mean() > 0.4
+        assert_same_bits(K.pmf_grid(B, xs, h, ys), np.exp(logs))
+
+    def test_nan_log_mass_reaches_exp(self):
+        # ~(logs < cut) keeps a NaN cell in the masked exp, which leaves it NaN
+        xs, ys = self.WIDE_XS, self.WIDE_YS
+        assert np.isnan(K._GridTerms(B, xs, ys).at(np.array([np.nan]))).all()
+
     def test_negbin_small_bandwidth(self):
         xs, ys = self.WIDE_XS, self.WIDE_YS
         assert_same_bits(K.pmf_grid(NB, xs, 1e-4, ys), per_cell_grid(NB, xs, 1e-4, ys))

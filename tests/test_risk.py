@@ -158,6 +158,36 @@ class TestExactMise:
                 R.variance_remainder(kernel, h, F2, n, x), abs=1e-12
             )
 
+    @pytest.mark.parametrize("f", [F2, R.TabulatedPmf([0.1, 0.3, 0.25, 0.2, 0.1, 0.05])], ids=["poisson", "tabulated"])
+    @pytest.mark.parametrize("kernel, h", [(B, 0.3), (P, 0.3), (NB, 0.3), (T1, 1.0)])
+    def test_breakdown_equals_separate_pmf_calls(self, f, kernel, h):
+        # exact_mise and expected_normalization take f(x) from the f(y) of the
+        # grid's columns; the same formulas with a second pmf call give the
+        # same bits
+        n = 25
+        x_max = f.tail_cutoff(1e-12)
+        xs = np.arange(0, x_max + 1)
+        ys = np.arange(0, max(K.kernel_support(kernel, x_max, h).truncation_hi, x_max) + 1)
+        G = K.pmf_grid(kernel, xs, h, ys)
+        fy, fx = f.pmf(ys), f.pmf(xs)
+        Ef, modal = G @ fy, G[xs, xs]
+        bias, var = Ef - fx, ((G * G) @ fy - Ef * Ef) / n
+        want = {
+            "bias": bias,
+            "variance": var,
+            "bias_off_target": Ef - fx * modal,
+            "variance_remainder": var - (fx * modal * modal - fx * fx) / n,
+            "integrated_squared_bias": float(np.sum(bias * bias)),
+            "integrated_variance": float(np.sum(var)),
+            "amise": float(np.sum(fx * fx * (modal - 1.0) ** 2) + np.sum(fx * (modal * modal - fx)) / n),
+        }
+        br = R.exact_mise(kernel, h, f, n)
+        for name, value in want.items():
+            got = np.atleast_1d(getattr(br, name)).tolist()
+            assert [v.hex() for v in got] == [float(v).hex() for v in np.atleast_1d(value)], name
+        normalization = 1.0 + float(np.sum(Ef[2:] - fx[2:]))
+        assert R.expected_normalization(kernel, h, f, eval_lo=2).hex() == normalization.hex()
+
     def test_small_h_mise_ranking(self):
         ms = [R.exact_mise(k, 0.05, F2, 1000).mise for k in (B, P, NB)]
         assert ms[0] <= ms[1] <= ms[2]
