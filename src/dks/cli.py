@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -301,6 +302,7 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dks", description="Discrete-kernel estimation of count-data p.m.f.s")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -312,7 +312,7 @@ class _GridTerms:
 def _times_log(count: np.ndarray, log_row: np.ndarray, out: np.ndarray) -> np.ndarray:
     # count * log per cell into out, but xlogy's 0, not NaN, for a zero count
     # on a row whose log is -inf (binomial p = 1, negbin q = 1)
-    if log_row.min() > -np.inf:
+    if log_row.flat[log_row.argmin()] > -np.inf:  # argmin stops at a NaN, as min would return it
         return np.multiply(count, log_row, out)
     with np.errstate(invalid="ignore"):
         np.multiply(count, log_row, out)

@@ -203,7 +203,8 @@ def run_study(config: SimulationConfig) -> StudyReport:
     cells = [(kernel, n) for kernel in config.kernels for n in config.sample_sizes]
     R = config.replicates
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    chunk = max(1, R // (workers * 4))
+    # About workers * 4 tasks for the whole study, and never more than one cell per task.
+    chunk = min(R, max(1, len(cells) * R // (workers * 4)))
     try:
         # Every cell's jobs are queued up front, so the workers go on to the next cell while
         # this process aggregates the previous one.  Both maps yield results in replicate order.

@@ -333,6 +333,31 @@ class TestDiracBandwidth:
         assert run(capsys, "kernel-info", "--kernel", "dirac", "--x-max", "2", "--h-list", "0") == (0, out, "")
 
 
+class TestParserReuse:
+    COMMANDS = [
+        ["estimate", "--data", "builtin:safou", "--kernel", "binomial", "--h", "0.1"],
+        ["estimate", "--data", "builtin:safou", "--kernel", "binomial", "--h", "0.1", "--cv"],
+        ["cv", "--data", "builtin:safou", "--kernel", "binomial", "--grid", "8"],
+        ["estimate", "--data", "builtin:hura", "--kernel", "poisson", "--cv", "--normalize"],
+        ["kernel-info", "--kernel", "triangular:2", "--x-max", "3", "--h-list", "0.5,2"],
+        ["risk", "--help"],
+    ]
+
+    def test_commands_in_a_row_match_fresh_processes(self, capsys, monkeypatch):
+        # argparse wraps usage and help text to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(Path(dks.__file__).resolve().parents[1])}
+        assert cli._build_parser() is cli._build_parser()
+        codes = []
+        for argv in self.COMMANDS:
+            in_process = run(capsys, *argv)
+            proc = subprocess.run([sys.executable, "-m", "dks", *argv], capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(proc.returncode)
+        assert codes == [0, 1, 1, 0, 0, 0]
+
+
 class TestBrokenPipe:
     def test_reader_closing_early_gets_no_error(self, tmp_path):
         # far more output than a pipe holds, so the writer meets the closed end

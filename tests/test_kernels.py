@@ -243,6 +243,29 @@ class TestGridBits:
         xs, ys = self.WIDE_XS, self.WIDE_YS
         assert np.isnan(K._GridTerms(B, xs, ys).at(np.array([np.nan]))).all()
 
+    @pytest.mark.parametrize(
+        "logs",
+        [
+            [-2.5, -0.1, -7.0, -1e-300],
+            [-2.5, -np.inf, -0.1, -np.inf],
+            [-2.5, np.nan, -0.1, -3.0],
+            [np.nan, -0.1, -np.inf, -3.0],
+            [-np.inf, -0.1, np.nan, -3.0],
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(1, -1, 1), (-1, 1, 1)])
+    def test_times_log_branch_rule(self, logs, shape):
+        # the old rule, min() over the logs, written out: the argmin pick must
+        # take the same branch, and with it give the same bits, NaN included
+        log_row = np.array(logs).reshape(shape)
+        count = np.array([[[0.0, 1.0, 2.0, 17.0, 0.0]]])
+        with np.errstate(invalid="ignore"):
+            want = count * log_row
+            got = K._times_log(count, log_row, np.empty(want.shape))
+        if not log_row.min() > -np.inf:
+            want[np.broadcast_to(count == 0, want.shape)] = 0.0
+        assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()]
+
     def test_negbin_small_bandwidth(self):
         xs, ys = self.WIDE_XS, self.WIDE_YS
         assert_same_bits(K.pmf_grid(NB, xs, 1e-4, ys), per_cell_grid(NB, xs, 1e-4, ys))

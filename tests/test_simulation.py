@@ -6,6 +6,7 @@ import pytest
 from dks import estimation as E
 from dks import kernels as K
 from dks import simulation as S
+from dks.reproduce import table23_config
 from dks.risk import PoissonPmf, TabulatedPmf, frequency_mise
 
 F2 = PoissonPmf(2.0)
@@ -153,6 +154,61 @@ class TestRunStudy:
         parallel = S.run_study(cfg)
         assert len(pools) == 1  # one pool serves all four cells
         assert serial.cells == parallel.cells
+
+
+def pooled_tasks(monkeypatch, workers=2) -> list[tuple]:
+    """Make run_study use a pool of ``workers``; the returned list collects the
+    replicates of every task the pool is given, as (kernel label, n, replicate)."""
+    tasks = []
+
+    class CountingPool(S.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            (chunk,) = args  # ProcessPoolExecutor.map submits one chunk of argument tuples per task
+            tasks.append(tuple((kernel.label, n, rep) for _, kernel, n, rep in chunk))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(S, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(S.os, "cpu_count", lambda: workers)
+    monkeypatch.setenv("DKS_THREADS", str(workers))
+    return tasks
+
+
+class TestPoolTasks:
+    def test_benchmark_shape_sends_one_task_per_cell(self, monkeypatch):
+        cfg = table23_config(7)
+        cfg.replicates = 4
+        serial = S.run_study(cfg)
+        tasks = pooled_tasks(monkeypatch)
+        pooled = S.run_study(cfg)
+        assert len(tasks) == len(serial.cells) == 25
+        assert sorted(tasks) == sorted(tuple((c.kernel, c.n, rep) for rep in range(4)) for c in serial.cells)
+        assert pooled.cells == serial.cells
+
+    def test_one_cell_keeps_both_workers_busy(self, monkeypatch):
+        cfg = small_config(replicates=8, kernels=(K.binomial(),))
+        tasks = pooled_tasks(monkeypatch)
+        S.run_study(cfg)
+        assert len(tasks) >= 2 * 4  # workers * 4
+        assert [rep for task in tasks for _, _, rep in task] == list(range(8))
+
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 5, 8])
+    def test_pooled_equals_serial(self, monkeypatch, replicates):
+        cfg = small_config(replicates=replicates, sample_sizes=(15, 25))
+        serial = S.run_study(cfg)
+        tasks = pooled_tasks(monkeypatch)
+        pooled = S.run_study(cfg)
+        assert tasks and all(len({(k, n) for k, n, _ in task}) == 1 for task in tasks)
+        assert pooled.cells == serial.cells
+
+    def test_pooled_h_values_in_replicate_order(self, monkeypatch):
+        cfg = small_config(replicates=6, sample_sizes=(15, 25, 50), kernels=(K.binomial(),))
+        tasks = pooled_tasks(monkeypatch)
+        report = S.run_study(cfg)
+        assert max(len(task) for task in tasks) > 1  # several replicates share a task
+        for n in cfg.sample_sizes:
+            want = [S.run_replicate(cfg, K.binomial(), n, rep).h_cv for rep in range(6)]
+            assert len(set(want)) > 1
+            assert report.cell("binomial", n).h_values == want
 
 
 class TestWorkersFromEnv:

@@ -13,6 +13,11 @@ prints nothing.  The set:
 - ``study-threads1`` and ``study-threads2``: the seed-42 table-2/3 study
   (``reproduce.run_table23_study``), serially and in a pool of two workers
   (``DKS_THREADS=2``); every cell's ``h_values`` and ``mean_mise``;
+- ``small-r-threads1`` and ``small-r-threads2``: the benchmark's pool shape,
+  ``table23_config`` at 4 replicates for seeds 42-44 (25 cells of 4
+  replicates each), serially and in a pool of two workers; every cell's
+  ``h_values``, ``mean_mise``, ``ibias`` and ``ivar``.  The two files hold the
+  same lines, so ``diff`` between them also compares pooled with serial;
 - ``selections``: ``select_bandwidth`` on seeded Poisson(2) samples
   (n = 15-200) for the binomial, poisson, negbin and triangular (p = 1, 2, 3)
   kernels on their default domains, and for poisson and negbin on a domain
@@ -27,11 +32,12 @@ prints nothing.  The set:
   off-target terms, MISE and AMISE) for Poisson and tabulated truths, the
   dirac kernel and six kernels at three bandwidths each.
 
-It takes about 25 s on 2 vCPUs, most of it in the two studies.
+It takes about 30 s on 2 vCPUs, most of it in the two seed-42 studies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 import time
@@ -51,6 +57,17 @@ def _study(REP, threads: str) -> list[str]:
     report = REP.run_table23_study(42)
     return [f"{c.kernel} n={c.n} mean_mise={float(c.mean_mise).hex()} h_values={_hex(c.h_values)}"
             for c in report.cells]
+
+
+def _small_r_studies(REP, S, threads: str) -> list[str]:
+    os.environ["DKS_THREADS"] = threads
+    lines = []
+    for seed in (42, 43, 44):
+        report = S.run_study(dataclasses.replace(REP.table23_config(seed), replicates=4))
+        lines += [f"seed={seed} {c.kernel} n={c.n} mean_mise={float(c.mean_mise).hex()} "
+                  f"ibias={float(c.ibias).hex()} ivar={float(c.ivar).hex()} h_values={_hex(c.h_values)}"
+                  for c in report.cells]
+    return lines
 
 
 def _selection_lines(E, label, sample, kernel, config, estimate=False) -> list[str]:
@@ -144,6 +161,8 @@ def main(argv: list[str]) -> int:
     parts = {
         "study-threads1": lambda: _study(REP, "1"),
         "study-threads2": lambda: _study(REP, "2"),
+        "small-r-threads1": lambda: _small_r_studies(REP, S, "1"),
+        "small-r-threads2": lambda: _small_r_studies(REP, S, "2"),
         "selections": lambda: _selections(E, K, R, S),
         "wide": lambda: _wide(np, E, K),
         "risk": lambda: _risk(np, K, R),
