@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "normalize_estimate",
     "cv_score",
     "select_bandwidth",
+    "select_bandwidths",
 ]
 
 
@@ -224,11 +226,18 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
     return PmfEstimate(raw.eval_lo, raw.eval_hi, raw.values / total, total, True)
 
 
-# Largest (bandwidths x targets x distinct values) block that one batched
-# pass of the CV evaluator builds.  A sample whose grid exceeds it for a
-# single bandwidth runs one bandwidth per pass, so its peak memory stays
-# that of cv_score.
+# Largest (bandwidths x targets x distinct values) block that one pass of the
+# CV evaluator builds: a grid pass holds bandwidths of one sample, a
+# golden-section step one bandwidth of every sample in the batch.  A sample
+# whose grid exceeds it for a single bandwidth runs alone, one bandwidth per
+# pass, so its peak memory stays that of cv_score.
 _CV_GRID_CELLS = 1 << 16
+
+# Largest step grid of a batch of several samples.  A batch keeps its
+# h-independent terms for all of its steps, and they hold up to three arrays
+# of the grid's size (binomial), so its grid is a quarter of a pass's: a
+# larger batch takes no less time, only more memory.
+_CV_BATCH_CELLS = _CV_GRID_CELLS // 4
 
 # The first CV term's range is extended in steps of _TAIL_STEP rows while its
 # last summand is above _CV_TAIL_EPS; one kernel grid of _TAIL_ROWS rows
@@ -246,36 +255,61 @@ _CV_MAX_TARGET = 100_000
 
 
 class _CvEvaluator:
-    """CV(h) of one sample under one kernel, at any number of bandwidths.
+    """CV(h) of a batch of samples under one kernel, at any bandwidths.
 
-    The sample is checked once, and the h-independent kernel terms of each
-    target range (0..default_eval_hi, each tail extension, and the first
-    range with the first tail) are built on first use and kept for the
-    evaluator's lifetime, so each bandwidth pays only its h-dependent
-    arithmetic.  That arithmetic writes into two sets of scratch arrays that
-    the evaluator owns, one for the first range and its pair grid and one for
-    the tails, so once a range's terms are built, evaluating it allocates no
-    grid-sized array.
+    The samples are checked once, and the h-independent kernel terms of each
+    target range (0..R-1 for the samples of a pass, and each sample's tail
+    extensions) are built on first use and kept, so each bandwidth pays only
+    its h-dependent arithmetic.  That arithmetic writes into two sets of
+    scratch arrays that the evaluator owns, one for the first ranges and
+    their pair grids and one for the tails, so once a range's terms are
+    built, evaluating it allocates no grid-sized array.  Each sample's grid
+    pass starts from fresh terms and scratch, and so do the steps of a batch
+    of several samples, so a batch holds one sample's grid-pass arrays at a
+    time; the batch of one keeps them for its steps.
+
+    A pass builds one grid for all of its samples, on the targets of the
+    longest first range and padded with points off the kernel's support to
+    the most distinct values.  Each sample is then reduced on its own slices
+    of that grid, by the matrix-vector products that it would get alone, so
+    its scores do not depend on the other samples of the batch.
     """
 
-    def __init__(self, sample: Sample, kernel: KernelSpec):
-        if sample.n < 2:
+    def __init__(self, samples, kernel: KernelSpec):
+        self.samples = list(samples)
+        if any(sample.n < 2 for sample in self.samples):
             raise ValueError("cross-validation needs at least two observations")
-        self.sample = sample
         self.kernel = kernel
-        self.us, self.cs, self.n = sample.distinct_values, sample.value_counts, sample.n
-        self.rows = default_eval_hi(sample) + 1
-        self._terms: dict[tuple[int, int], _GridTerms] = {}
+        self.us = [sample.distinct_values for sample in self.samples]
+        self.cs = [sample.value_counts for sample in self.samples]
+        self.rows = [default_eval_hi(sample) + 1 for sample in self.samples]
+        # each sample's points, then points off every kernel's support at every target
+        self.points = np.full((len(self.samples), max(us.size for us in self.us)), -1.0 - (kernel.arm or 0))
+        for b, us in enumerate(self.us):
+            self.points[b, : us.size] = us
+        # whether each sample's last pass summed rows past default_eval_hi
+        self.fused = [False] * len(self.samples)
+        self._terms: dict[tuple, _GridTerms] = {}
+        self._layouts: dict[tuple[int, int, int, bool], _Layout] = {}
         self._first, self._tail = _Scratch(), _Scratch()
-        self._extended = False
 
-    def _grid(self, lo: int, size: int, hs: np.ndarray) -> np.ndarray:
-        # K_{x,h}(us) on the targets x = lo..lo+size-1, as (bandwidths, x, us);
-        # the first range's grid outlives the tails built while it is reduced
-        terms = self._terms.get((lo, size))
+    def _grid(self, lo: int, hi: int, size: int, hs: np.ndarray) -> np.ndarray:
+        # K_{x,h} on the targets x = 0..size-1 of samples lo..hi-1, padded, as
+        # (samples, bandwidths, x, points); it outlives the tails built while
+        # it is reduced
+        terms = self._terms.get((lo, hi, size))
         if terms is None:
-            terms = self._terms[lo, size] = _GridTerms(self.kernel, np.arange(lo, lo + size), self.us)
-            terms.scratch = self._first if lo == 0 else self._tail
+            ys = self.points[lo:hi, : max(us.size for us in self.us[lo:hi])]
+            terms = self._terms[lo, hi, size] = _GridTerms(self.kernel, np.arange(size), ys)
+            terms.scratch = self._first
+        return terms.at(hs)
+
+    def _tail_grid(self, b: int, start: int, hs: np.ndarray) -> np.ndarray:
+        # K_{x,h}(us) of sample b on the _TAIL_ROWS targets from start, as (bandwidths, x, us)
+        terms = self._terms.get((b, start))
+        if terms is None:
+            terms = self._terms[b, start] = _GridTerms(self.kernel, np.arange(start, start + _TAIL_ROWS), self.us[b])
+            terms.scratch = self._tail
         return terms.at(hs)
 
     # The first term's range grows past default_eval_hi, one step at a time,
@@ -283,68 +317,140 @@ class _CvEvaluator:
     # diffuse families whose mass extends well beyond the largest
     # observation.  Every observed value is a target, so the rows us of a
     # bandwidth's grid are the pair grid K_{us,h}(us).  Each bandwidth is
-    # reduced on its own 2-d slices, one matrix-vector product for the first
-    # range and one per 64-row tail (a stacked matmul runs one product per
-    # contiguous slice), so its score does not depend on which bandwidths
-    # share its grids, nor on whether its first tail was fused.
+    # reduced on its own 2-d slices, of its sample's exact shape: one
+    # matrix-vector product for the first range and one per 64-row tail (a
+    # stacked matmul runs one product per slice), so its score depends
+    # neither on which bandwidths or samples share its grids, nor on whether
+    # its first tail was fused.  A product over zero-padded rows or columns
+    # would change the low bits, so none is run.
 
-    def score(self, h: float) -> float:
-        # Golden-section steps are adjacent in h, so a step after an extending
-        # one builds its first range and first tail as one grid.
-        validate_bandwidth(self.kernel, float(h))
-        return self._pass(np.array([h], dtype=np.float64), fused=self._extended)[0]
-
-    def scores(self, hs: np.ndarray) -> list[float]:
-        # Up to _CV_GRID_CELLS (bandwidth, target, distinct value) cells per
-        # pass; each pass's grids are freed before the next pass builds its
-        # own.
+    def scores(self, hs: np.ndarray) -> list[list[float]]:
+        # Every sample at every bandwidth of hs, one sample at a time, up to
+        # _CV_GRID_CELLS (bandwidth, target, distinct value) cells per pass;
+        # each pass's grids are freed before the next pass builds its own.
         for h in hs.tolist():
             validate_bandwidth(self.kernel, h)
-        per_pass = max(1, _CV_GRID_CELLS // (max(self.rows, _TAIL_ROWS) * self.us.size))
-        scores: list[float] = []
-        for start in range(0, hs.size, per_pass):
-            scores += self._pass(hs[start : start + per_pass])
-        return scores
+        out = []
+        for b, (rows, us) in enumerate(zip(self.rows, self.us)):
+            self._release()
+            per_pass = max(1, _CV_GRID_CELLS // (max(rows, _TAIL_ROWS) * us.size))
+            scores: list[float] = []
+            for start in range(0, hs.size, per_pass):
+                scores += self._pass(b, b + 1, hs[None, start : start + per_pass], fused=False)
+            out.append(scores)
+        if len(self.samples) > 1:
+            self._release()
+        return out
 
-    def _pass(self, hs: np.ndarray, fused: bool = False) -> list[float]:
-        # One stacked grid for all of hs on the first range (and the first
-        # tail if fused), then one tail grid per extension for the bandwidths
-        # still extending.  sums[i, :ends[i]] are bandwidth i's summands.
-        cs, n, rows = self.cs, self.n, self.rows
-        grids = self._grid(0, rows + _TAIL_ROWS if fused else rows, hs)
-        sums = np.empty(grids.shape[:2])
-        np.matmul(grids[:, :rows], cs, out=sums[:, :rows])
-        if fused:
-            np.matmul(grids[:, rows:], cs, out=sums[:, rows:])
-        sums /= n
-        ends, extending = [rows] * hs.size, range(hs.size)
+    def _release(self):
+        # drop the terms, views and scratch of the passes so far
+        self._terms.clear()
+        self._layouts.clear()
+        self._first, self._tail = _Scratch(), _Scratch()
+
+    def step(self, hs) -> list[float]:
+        # One bandwidth per sample, all in one pass.  Golden-section steps are
+        # adjacent in h, so once a sample's last pass extended, the step's grid
+        # holds every sample's first range fused with its first tail.
+        for h in hs:
+            validate_bandwidth(self.kernel, float(h))
+        return self._pass(0, len(self.samples), np.array(hs, dtype=np.float64)[:, None], fused=any(self.fused))
+
+    def _pass(self, lo: int, hi: int, hs: np.ndarray, fused: bool) -> list[float]:
+        # hs holds one row of J bandwidths per sample lo..hi-1.  Item q is
+        # bandwidth q % J of sample lo + q // J, and sums[q, :ends[q]] are its
+        # summands, of which the first widths[q] are computed.
+        blocks, J = hs.shape
+        grids = self._grid(lo, hi, max(self.rows[lo:hi]) + (_TAIL_ROWS if fused else 0), hs)
+        layout = self._layouts.get((lo, hi, J, fused))
+        if layout is None or layout.grids is not grids:
+            layout = self._layouts[lo, hi, J, fused] = _Layout(self, lo, hi, fused, grids)
+        for cs, products in layout.products:
+            for grid, out in products:
+                np.matmul(grid, cs, out=out)
+        layout.sums /= layout.n
+        sums = layout.summands
+        ends = [rows for rows, _ in layout.items]
+        widths = [span for _, span in layout.items]
+        extending = range(len(ends))
         while extending:
-            width = sums.shape[1]
-            for i in extending:
-                while sums[i, ends[i] - 1] > _CV_TAIL_EPS and ends[i] < width:
-                    if ends[i] - 1 > _CV_MAX_TARGET:
-                        raise RuntimeError(
-                            f"cross-validation sum failed to truncate: the first term needs targets past "
-                            f"{_CV_MAX_TARGET}, and the sample's largest value is {self.sample.max_value}"
-                        )
-                    ends[i] += _TAIL_STEP
-            extending = [i for i in extending if sums[i, ends[i] - 1] > _CV_TAIL_EPS]
-            if extending:
-                sums = np.concatenate([sums, np.zeros((hs.size, _TAIL_ROWS))], axis=1)
-                sums[extending, width:] = self._grid(width, _TAIL_ROWS, hs[extending]) @ cs / n
-        self._extended = max(ends) > rows
+            still = []
+            for q in extending:
+                while (live := sums[q, ends[q] - 1] > _CV_TAIL_EPS) and ends[q] < widths[q]:
+                    if ends[q] - 1 > _CV_MAX_TARGET:
+                        self._refuse(lo + q // J)
+                    ends[q] += _TAIL_STEP
+                if live:
+                    still.append(q)
+            extending = still
+            if not extending:
+                break
+            # one tail grid per sample for its bandwidths still extending,
+            # which share a width
+            if max(widths[q] for q in extending) + _TAIL_ROWS > sums.shape[1]:
+                sums = np.concatenate([sums, np.zeros((sums.shape[0], _TAIL_ROWS))], axis=1)
+            owned: dict[int, list[int]] = {}
+            for q in extending:
+                owned.setdefault(q // J, []).append(q)
+            for i, qs in owned.items():
+                b, start = lo + i, widths[qs[0]]
+                tail = self._tail_grid(b, start, hs[i, [q % J for q in qs]])
+                sums[qs, start : start + _TAIL_ROWS] = tail @ self.cs[b] / self.samples[b].n
+                for q in qs:
+                    widths[q] = start + _TAIL_ROWS
         # every index is a row of grids, so mode="wrap" copies the same cells
         # as the default, which would gather through a fresh buffer
-        pair_grids = grids.take(self.us, axis=1, out=self._first.get("pairs", (hs.size, self.us.size, self.us.size)),
-                                mode="wrap")
-        pair_rows = cs @ pair_grids
-        diagonals = pair_grids.diagonal(axis1=1, axis2=2)
+        grids.reshape(-1, grids.shape[-1]).take(layout.index, axis=0, out=layout.pairs, mode="wrap")
         scores = []
-        for vals, end, row, diagonal in zip(sums, ends, pair_rows, diagonals):
-            vals = vals[:end]
-            pair_sum = float(row.dot(cs) - cs.dot(diagonal))
-            scores.append(float(vals.dot(vals)) - 2.0 * pair_sum / (n * (n - 1.0)))
+        for i, (cs, pair_grids, diagonals, n2) in enumerate(layout.pair_terms):
+            block = range(i * J, (i + 1) * J)
+            for q, row, diagonal in zip(block, cs @ pair_grids, diagonals):
+                vals = sums[q, : ends[q]]
+                pair_sum = float(row.dot(cs) - cs.dot(diagonal))
+                scores.append(float(vals.dot(vals)) - 2.0 * pair_sum / n2)
+            self.fused[lo + i] = max(ends[i * J : (i + 1) * J]) > self.rows[lo + i]
         return scores
+
+    def _refuse(self, b: int):
+        raise RuntimeError(
+            f"cross-validation sum failed to truncate: the first term needs targets past {_CV_MAX_TARGET}, "
+            f"and the sample's largest value is {self.samples[b].max_value}"
+        )
+
+
+class _Layout:
+    """The exact-shape views that every pass of one shape reduces.
+
+    A pass over samples lo..hi-1, J bandwidths each, gets its grid and pair
+    grids from the evaluator's scratch, the same arrays for every pass of
+    that shape until the scratch grows, and writes its summands into
+    ``sums``.  Each sample's slices of them are made once, here.  A fused
+    pass computes the summands of every sample's first tail with its first
+    range's.
+    """
+
+    __slots__ = ("grids", "pairs", "sums", "summands", "n", "index", "items", "products", "pair_terms")
+
+    def __init__(self, evaluator: _CvEvaluator, lo: int, hi: int, fused: bool, grids: np.ndarray):
+        blocks, J, R, cols = grids.shape
+        self.grids, self.pairs = grids, evaluator._first.get("pairs", (blocks, J, cols, cols))
+        self.sums = np.empty((blocks, J, R))
+        self.summands = self.sums.reshape(blocks * J, R)
+        self.n = np.array([evaluator.samples[b].n for b in range(lo, hi)], dtype=np.float64)[:, None, None]
+        # the rows of the pair grids: each sample's points, and row 0 for its padding
+        points = np.maximum(evaluator.points[lo:hi, None, :cols], 0.0).astype(np.int64)
+        self.index = (np.arange(blocks * J) * R).reshape(blocks, J, 1) + points
+        self.items, self.products, self.pair_terms = [], [], []
+        for i, b in enumerate(range(lo, hi)):
+            rows, k, cs, n = evaluator.rows[b], evaluator.us[b].size, evaluator.cs[b], evaluator.samples[b].n
+            span = rows + _TAIL_ROWS if fused else rows
+            self.items += [(rows, span)] * J
+            products = [(grids[i, :, :rows, :k], self.sums[i, :, :rows])]
+            if fused:
+                products.append((grids[i, :, rows:span, :k], self.sums[i, :, rows:span]))
+            self.products.append((cs, products))
+            pair_grids = self.pairs[i, :, :k, :k]
+            self.pair_terms.append((cs, pair_grids, pair_grids.diagonal(axis1=1, axis2=2), n * (n - 1.0)))
 
 
 def cv_score(sample: Sample, kernel: KernelSpec, h):
@@ -357,13 +463,99 @@ def cv_score(sample: Sample, kernel: KernelSpec, h):
     value) cells, and its entry i equals the scalar call at ``h[i]`` bit for
     bit.
     """
-    evaluator = _CvEvaluator(sample, kernel)
+    evaluator = _CvEvaluator([sample], kernel)
     if np.ndim(h) == 0:
-        return evaluator.score(h)
+        return evaluator.step([h])[0]
     hs = np.asarray(h, dtype=np.float64)
     if hs.ndim != 1:
         raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
-    return np.array(evaluator.scores(hs))
+    return np.array(evaluator.scores(hs)[0])
+
+
+def _batches(samples):
+    # Runs of consecutive samples whose step grid fits in _CV_BATCH_CELLS with
+    # every sample at its longest first range (fused with its first tail); a
+    # wider sample is a batch of its own.
+    batch: list[Sample] = []
+    span = cols = 0
+    for sample in samples:
+        s_span, s_cols = default_eval_hi(sample) + 1 + _TAIL_ROWS, sample.distinct_values.size
+        if batch and (len(batch) + 1) * max(span, s_span) * max(cols, s_cols) > _CV_BATCH_CELLS:
+            yield batch
+            batch, span, cols = [], 0, 0
+        batch.append(sample)
+        span, cols = max(span, s_span), max(cols, s_cols)
+    if batch:
+        yield batch
+
+
+def _golden_section(a: float, b: float):
+    # The golden-section refinement on [a, b] in log h: yields each probe and
+    # is sent CV at it.
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = yield c
+    fd = yield d
+    for _ in range(_REFINE_ITERATIONS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = yield c
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = yield d
+
+
+def _select(evaluator: _CvEvaluator, hs: np.ndarray):
+    # Every sample's grid pass, then the golden-section searches of all of
+    # them in lockstep, one evaluator step per probe; yields the selections in
+    # the batch's order.  Each curve is kept as a row of bandwidths and a row
+    # of scores, in the order of evaluation, until its selection is made.
+    G = hs.size
+    h_at = np.empty((len(evaluator.samples), G + 2 + _REFINE_ITERATIONS))
+    cv_at = np.empty_like(h_at)
+    h_at[:, :G] = hs
+    searches = []
+    for b, scores in enumerate(evaluator.scores(hs)):
+        cv_at[b, :G] = scores
+        i = int(np.argmin(scores))
+        searches.append(_golden_section(math.log(hs[max(i - 1, 0)]), math.log(hs[min(i + 1, len(hs) - 1)])))
+    ts = [next(search) for search in searches]
+    for k in range(G, h_at.shape[1]):
+        probes = [math.exp(t) for t in ts]
+        scores = evaluator.step(probes)
+        h_at[:, k], cv_at[:, k] = probes, scores
+        if k + 1 < h_at.shape[1]:
+            ts = [search.send(score) for search, score in zip(searches, scores)]
+
+    for h_row, cv_row in zip(h_at, cv_at):
+        curve = list(zip(h_row.tolist(), cv_row.tolist()))
+        best_h, _ = min(curve, key=lambda t: (t[1], t[0]))
+        yield BandwidthSelection(float(best_h), sorted(curve))
+
+
+def select_bandwidths(
+    samples,
+    kernel: KernelSpec,
+    config: SearchConfig | None = None,
+) -> Iterator[BandwidthSelection]:
+    """``select_bandwidth`` on each sample of a list, yielded in the list's
+    order.
+
+    The samples are selected in lockstep, in batches whose step grids fit in
+    2^14 cells: one pass evaluates a golden-section step of every selection
+    in the batch.  Each selection equals ``select_bandwidth`` on its sample
+    alone, bit for bit.  A batch is selected when the first of its
+    selections is asked for, so a caller that keeps only the bandwidths
+    holds the curves of one batch at a time.
+    """
+    cfg = config if config is not None else default_search_config(kernel.family)
+    validate_bandwidth(kernel, cfg.h_max)
+    hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
+    for batch in _batches(samples):
+        yield from _select(_CvEvaluator(batch, kernel), hs)
 
 
 def select_bandwidth(
@@ -374,40 +566,10 @@ def select_bandwidth(
     """Minimise CV(h): coarse log-spaced scan (evaluated in batches), then
     golden-section refinement inside the bracket around the grid minimum.
     Every evaluation goes through one CV evaluator, which computes the
-    h-independent kernel terms once per selection.
+    h-independent kernel terms once per selection; this is the batch of one
+    of ``select_bandwidths``.
 
     Returns the best bandwidth over every evaluated point; exact ties go to
     the smaller h.
     """
-    cfg = config if config is not None else default_search_config(kernel.family)
-    validate_bandwidth(kernel, cfg.h_max)
-    evaluator = _CvEvaluator(sample, kernel)
-    hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
-    scores = evaluator.scores(hs)
-    evaluated = list(zip(hs.tolist(), scores))
-    i = int(np.argmin(scores))
-
-    a = math.log(hs[max(i - 1, 0)])
-    b = math.log(hs[min(i + 1, len(hs) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def probe(t: float) -> float:
-        score = evaluator.score(math.exp(t))
-        evaluated.append((math.exp(t), score))
-        return score
-
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = probe(c), probe(d)
-    for _ in range(_REFINE_ITERATIONS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = probe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = probe(d)
-
-    best_h, _ = min(evaluated, key=lambda t: (t[1], t[0]))
-    return BandwidthSelection(float(best_h), sorted(evaluated))
+    return next(select_bandwidths([sample], kernel, config))

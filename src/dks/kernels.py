@@ -208,21 +208,26 @@ class _GridTerms:
     The grid and the family's work arrays come from ``scratch``.  A caller
     that evaluates many grids sets it to a _Scratch that it owns, and may
     share between terms; the next evaluation into it overwrites the grid.
+
+    A 2-d ``ys`` holds one row of points per sample of a batch, on the same
+    targets.  Its terms keep a leading sample axis, and every cell is the
+    one that sample's own terms give, by the same formula.
     """
 
-    __slots__ = ("X", "scratch", "_cols", "_at")
+    __slots__ = ("X", "scratch", "_shape", "_at")
 
     def __init__(self, kernel: KernelSpec, xs, ys):
         xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
         ys = np.atleast_1d(np.asarray(ys, dtype=np.float64))
         _validate_targets(xs)
-        if xs.size * ys.size > _MAX_GRID_CELLS:
-            raise RuntimeError(f"the {kernel.label} kernel grid of {xs.size} targets x {ys.size} points is past "
-                               f"the dense-grid limit of {_MAX_GRID_CELLS} cells")
+        rows, cols = self._shape = xs.size, ys.shape[-1]
+        if rows * cols > _MAX_GRID_CELLS:
+            raise RuntimeError(f"the {kernel.label} kernel grid of {rows} targets x {cols} points is past the "
+                               f"dense-grid limit of {_MAX_GRID_CELLS} cells")
         X = self.X = xs[:, None]
-        Y = ys[None, :]
-        self._cols, self.scratch = ys.size, _Fresh
-        # Each family's arithmetic takes the bandwidths as a (bandwidths, 1, 1)
+        Y = ys[None, :] if ys.ndim == 1 else ys[:, None, None, :]  # a batch's bandwidth axis follows its sample axis
+        self.scratch = _Fresh
+        # Each family's arithmetic takes the bandwidths as a (..., bandwidths, 1, 1)
         # array, a _Scratch and the grid's shape.  Every grid-sized step writes
         # into one of the scratch's buffers (the ufuncs' third argument), in the
         # order of the per-cell formula.  The standard families take one
@@ -239,17 +244,23 @@ class _GridTerms:
 
             self._at = dirac_at
         elif fam is KernelFamily.TRIANGULAR:
-            d = np.abs(Y - X)
-            band = np.flatnonzero(d <= kernel.arm)  # the cells where the kernel is not 0
-            d_band, k = d.ravel()[band], np.arange(1.0, kernel.arm + 1.0)
+            # per sample: the cells where the kernel is not 0, and their distances
+            d = np.abs(Y - X).reshape(-1, rows * cols)
+            bands = []
+            for row in d:
+                band = np.flatnonzero(row <= kernel.arm)
+                bands.append((band, row[band]))
+            k = np.arange(1.0, kernel.arm + 1.0)
 
             def triangular_at(h, scratch, shape):
                 # One bandwidth at a time: a scalar exponent keeps every power
                 # identical to the per-cell formula; an array exponent does not.
                 out = scratch.get("grid", shape)
                 out.fill(0.0)
-                flat = out.reshape(h.size, d.size)
+                flat = out.reshape(h.size, d.shape[1])
+                per_sample = h.size // len(bands)
                 for i, v in enumerate(h.ravel().tolist()):
+                    band, d_band = bands[i // per_sample]
                     flat[i, band] = ((k.size + 1.0) ** v - d_band**v) / _triangular_normalizer(k, v)
                 return out
 
@@ -273,7 +284,7 @@ class _GridTerms:
             rest = m - Yc
             coef = gammaln(m + 1.0) - gammaln(Yc + 1.0) - gammaln(rest + 1.0)
             log_coef = np.where((Y >= 0) & (Y <= m), coef, -np.inf)
-            masked = log_coef.size >= _MASKED_EXP_CELLS
+            masked = rows * cols >= _MASKED_EXP_CELLS  # cells per bandwidth of one sample
 
             def binomial_at(h, scratch, shape):
                 # log_coef + Yc * log(p) + rest * log(1 - p)
@@ -305,8 +316,9 @@ class _GridTerms:
             self._at = negbin_at
 
     def at(self, hs: np.ndarray) -> np.ndarray:
-        """The grid at a validated 1-d array of bandwidths, as (bandwidths, rows, columns)."""
-        return self._at(hs[:, None, None], self.scratch, (hs.size, self.X.size, self._cols))
+        """The grid at validated bandwidths, as (bandwidths, rows, columns): a 1-d ``hs``, or for a
+        batch's terms one row of bandwidths per sample, giving (samples, bandwidths, rows, columns)."""
+        return self._at(hs[..., None, None], self.scratch, hs.shape + self._shape)
 
 
 def _times_log(count: np.ndarray, log_row: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .estimation import (
     default_search_config,
     kernel_estimate_raw,
     normalize_estimate,
-    select_bandwidth,
+    select_bandwidths,
 )
 from .kernels import KernelFamily, KernelSpec
 from .risk import TruePmf
@@ -157,16 +157,25 @@ def run_replicate(config: SimulationConfig, kernel: KernelSpec, n: int, replicat
     The sample depends only on (seed, n, replicate_index), never on the
     kernel, so results are paired across kernels.
     """
-    rng = replicate_stream(config.seed, n, replicate_index)
-    sample = sample_from_pmf(config.true_pmf, n, rng)
+    return _run_replicates(config, kernel, n, [replicate_index])[0]
+
+
+def _run_replicates(config: SimulationConfig, kernel: KernelSpec, n: int, indices) -> list[ReplicateResult]:
+    # run_replicate at each replicate index, with the bandwidths of all of
+    # them selected in lockstep, batch by batch; each result equals the one
+    # run alone
+    samples = [sample_from_pmf(config.true_pmf, n, replicate_stream(config.seed, n, r)) for r in indices]
     if kernel.family is KernelFamily.DIRAC:
-        h = 0.0
+        hs = [0.0] * len(samples)
     else:
-        h = select_bandwidth(sample, kernel, config.search_for(kernel)).h_cv
-    est = kernel_estimate_raw(sample, kernel, h, 0, default_eval_hi(sample))
-    if config.normalize:
-        est = normalize_estimate(est)
-    return ReplicateResult(h, ise(est, config.true_pmf), est)
+        hs = [sel.h_cv for sel in select_bandwidths(samples, kernel, config.search_for(kernel))]
+    results = []
+    for sample, h in zip(samples, hs):
+        est = kernel_estimate_raw(sample, kernel, h, 0, default_eval_hi(sample))
+        if config.normalize:
+            est = normalize_estimate(est)
+        results.append(ReplicateResult(h, ise(est, config.true_pmf), est))
+    return results
 
 
 def _workers_from_env() -> int:
@@ -203,17 +212,19 @@ def run_study(config: SimulationConfig) -> StudyReport:
     cells = [(kernel, n) for kernel in config.kernels for n in config.sample_sizes]
     R = config.replicates
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    # About workers * 4 tasks for the whole study, and never more than one cell per task.
-    chunk = min(R, max(1, len(cells) * R // (workers * 4)))
+    # About workers * 4 tasks for the whole study, and never more than one cell per task;
+    # serially, one run per cell.  Each run's replicates select their bandwidths in lockstep.
+    chunk = min(R, max(1, len(cells) * R // (workers * 4))) if pool else R
+    runs = [range(start, min(start + chunk, R)) for start in range(0, R, chunk)]
     try:
-        # Every cell's jobs are queued up front, so the workers go on to the next cell while
-        # this process aggregates the previous one.  Both maps yield results in replicate order.
+        # Every cell's runs are queued up front, so the workers go on to the next cell while
+        # this process aggregates the previous one.  Both maps yield runs in replicate order.
         pending = []
         for kernel, n in cells:
-            jobs = ([config] * R, [kernel] * R, [n] * R, range(R))
-            pending.append(pool.map(run_replicate, *jobs, chunksize=chunk) if pool else map(run_replicate, *jobs))
-        for (kernel, n), cell_results in zip(cells, pending):
-            results = list(cell_results)
+            jobs = ([config] * len(runs), [kernel] * len(runs), [n] * len(runs), runs)
+            pending.append(pool.map(_run_replicates, *jobs) if pool else map(_run_replicates, *jobs))
+        for (kernel, n), cell_runs in zip(cells, pending):
+            results = [result for run in cell_runs for result in run]
             hs = np.array([r.h_cv for r in results])
             ises = np.array([r.ise for r in results])
             width = max(max(len(r.estimate.values) for r in results), truth_hi + 1)

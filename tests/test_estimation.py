@@ -359,12 +359,12 @@ class TestBatchedCv:
         # once a range's terms and scratch exist, a score allocates no grid:
         # its peak stays below the bytes of one first-range grid
         sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 400, 400))
-        evaluator = E._CvEvaluator(sample, kernel)
-        evaluator.score(0.3)
-        if evaluator._extended:  # the next step fuses the first tail: a new range
-            evaluator.score(0.2)
-        peak = tracemalloc_peak(lambda: evaluator.score(0.5))
-        assert peak < evaluator.rows * sample.distinct_values.size * 8
+        evaluator = E._CvEvaluator([sample], kernel)
+        evaluator.step([0.3])
+        if evaluator.fused[0]:  # the next step fuses its first tail: a new range
+            evaluator.step([0.2])
+        peak = tracemalloc_peak(lambda: evaluator.step([0.5]))
+        assert peak < evaluator.rows[0] * sample.distinct_values.size * 8
 
     def test_cv_score_equals_reference_loop(self):
         rng = np.random.default_rng(8)
@@ -456,13 +456,13 @@ class TestCvEvaluator:
         for values in ([0, 1, 1, 2, 3, 3, 4, 7], rng.poisson(1.5, 30).tolist()):
             sample = E.Sample.from_values(values)
             for h in hs:
-                want = E._CvEvaluator(sample, kernel).score(h).hex()
-                assert E._CvEvaluator(sample, kernel).scores(np.array([h]))[0].hex() == want
+                want = E._CvEvaluator([sample], kernel).step([h])[0].hex()
+                assert E._CvEvaluator([sample], kernel).scores(np.array([h]))[0][0].hex() == want
                 for before in (hs[0], hs[-1]):
-                    evaluator = E._CvEvaluator(sample, kernel)
-                    evaluator.score(before)
-                    histories.add(evaluator._extended)
-                    assert evaluator.score(h).hex() == want
+                    evaluator = E._CvEvaluator([sample], kernel)
+                    evaluator.step([before])
+                    histories.add(evaluator.fused[0])
+                    assert evaluator.step([h])[0].hex() == want
         assert histories == ({True, False} if kernel is B else {True})
 
     def test_fused_step_names_the_target_limit(self):
@@ -470,30 +470,30 @@ class TestCvEvaluator:
         # target limit too
         sample = E.Sample.from_values([100500, 100502, 100507])
         for kernel in (P, NB):
-            evaluator = E._CvEvaluator(sample, kernel)
-            evaluator._extended = True
+            evaluator = E._CvEvaluator([sample], kernel)
+            evaluator.fused[0] = True
             with pytest.raises(RuntimeError, match=r"targets past 100000.*largest value is 100507"):
-                evaluator.score(0.1)
-            assert (0, evaluator.rows + E._TAIL_ROWS) in evaluator._terms
+                evaluator.step([0.1])
+            assert (0, 1, evaluator.rows[0] + E._TAIL_ROWS) in evaluator._terms
 
     def test_one_grid_per_extending_step(self, monkeypatch):
         # every negbin first term extends, so each golden-section step builds
         # its first range and first tail as one grid
         grids, per_step = [], []
-        at, score = K._GridTerms.at, E._CvEvaluator.score
+        at, step = K._GridTerms.at, E._CvEvaluator.step
 
         def counting_at(terms, h):
             grids.append((int(terms.X[0, 0]), len(terms.X)))
             return at(terms, h)
 
-        def counting_score(evaluator, h):
+        def counting_step(evaluator, hs):
             start = len(grids)
-            result = score(evaluator, h)
+            result = step(evaluator, hs)
             per_step.append(grids[start:])
             return result
 
         monkeypatch.setattr(K._GridTerms, "at", counting_at)
-        monkeypatch.setattr(E._CvEvaluator, "score", counting_score)
+        monkeypatch.setattr(E._CvEvaluator, "step", counting_step)
         for seed in range(3):
             sample = E.Sample.from_values(np.random.default_rng(seed).poisson(2.0, 50))
             fused = [(0, E.default_eval_hi(sample) + 1 + E._TAIL_ROWS)]
@@ -507,8 +507,8 @@ class TestCvEvaluator:
             for _ in range(3):
                 values = rng.poisson(2.0, rng.integers(2, 18)).tolist()
                 sample = E.Sample.from_values(values)
-                evaluator = E._CvEvaluator(sample, kernel)
-                got = evaluator.scores(np.array(hs)) + [evaluator.score(h) for h in hs]
+                evaluator = E._CvEvaluator([sample], kernel)
+                got = evaluator.scores(np.array(hs))[0] + [evaluator.step([h])[0] for h in hs]
                 for h, score in zip(hs + hs, got):
                     naive = naive_cv(values, kernel, h, E.default_eval_hi(sample) + 80)
                     assert score == pytest.approx(naive, abs=1e-12)
@@ -553,6 +553,233 @@ class TestCvEvaluator:
             h_cv, curve = reference_select(sample, kernel, cfg)
             assert sel.h_cv.hex() == h_cv.hex()
             assert hex_curve(sel.cv_curve) == hex_curve(curve)
+
+
+def lockstep_samples():
+    """Eight samples of mixed shapes: the first selects on a domain bound
+    (binomial h = 1, triangular(p=1) h = 10), the second takes its negbin
+    golden-section steps past the fused tail into a second tail, and the
+    rest differ in their maxima and distinct-value counts."""
+    from dks.risk import PoissonPmf
+    from dks.simulation import replicate_stream, sample_from_pmf
+
+    def draw(n, r):
+        return sample_from_pmf(PoissonPmf(2.0), n, replicate_stream(42, n, r))
+
+    return [
+        draw(15, 0),
+        E.Sample.from_values(np.random.default_rng(4).poisson(60, 12)),
+        draw(100, 1),
+        E.Sample.from_values(np.random.default_rng(5).integers(0, 30, 40)),
+        E.Sample.from_values([0, 1]),
+        draw(50, 3),
+        E.Sample.from_values([5, 5, 5, 9]),
+        draw(25, 5),
+    ]
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kernel", [B, P, NB, T1, K.triangular(2)])
+    def test_batch_equals_each_sample_alone(self, kernel):
+        samples = lockstep_samples()
+        alone = [E.select_bandwidth(sample, kernel) for sample in samples]
+        if kernel in (B, T1):
+            assert alone[0].h_cv == E.default_search_config(kernel.family).h_max
+        for R in (1, 2, 3, 5, 8):
+            batch = list(E.select_bandwidths(samples[:R], kernel))
+            assert len(batch) == R
+            for got, want in zip(batch, alone):
+                assert got.h_cv.hex() == want.h_cv.hex()
+                assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
+
+    def test_batch_steps_reach_a_second_tail(self, monkeypatch):
+        # the second sample's negbin steps extend past their fused first tail
+        samples = lockstep_samples()[:3]
+        evaluator = E._CvEvaluator(samples, NB)
+        tails, stepping = [], []
+        tail_grid, step = E._CvEvaluator._tail_grid, E._CvEvaluator.step
+
+        def recording_tail_grid(self, b, start, hs):
+            if stepping:
+                tails.append((b, start))
+            return tail_grid(self, b, start, hs)
+
+        def recording_step(self, hs):
+            stepping.append(True)
+            return step(self, hs)
+
+        monkeypatch.setattr(E._CvEvaluator, "_tail_grid", recording_tail_grid)
+        monkeypatch.setattr(E._CvEvaluator, "step", recording_step)
+        hs = np.geomspace(1e-4, 5.0, 64)
+        got = list(E._select(evaluator, hs))
+        assert (1, evaluator.rows[1] + E._TAIL_ROWS) in tails
+        monkeypatch.undo()
+        assert [sel.h_cv for sel in got] == [E.select_bandwidth(sample, NB).h_cv for sample in samples]
+
+    def test_steps_extend_several_samples_at_once(self, monkeypatch):
+        # on Poisson(40) draws the negbin steps of several samples extend past
+        # their fused rows in the same step, each into its own tail grid
+        from dks.risk import PoissonPmf
+        from dks.simulation import replicate_stream, sample_from_pmf
+
+        samples = [sample_from_pmf(PoissonPmf(40.0), 30, replicate_stream(7, 30, r)) for r in range(4)]
+        alone = [E.select_bandwidth(sample, NB) for sample in samples]
+        per_step, stepping = [], []
+        tail_grid, step = E._CvEvaluator._tail_grid, E._CvEvaluator.step
+
+        def recording_tail_grid(self, b, start, hs):
+            if stepping:
+                per_step[-1].append(b)
+            return tail_grid(self, b, start, hs)
+
+        def recording_step(self, hs):
+            stepping.append(True)
+            per_step.append([])
+            return step(self, hs)
+
+        monkeypatch.setattr(E._CvEvaluator, "_tail_grid", recording_tail_grid)
+        monkeypatch.setattr(E._CvEvaluator, "step", recording_step)
+        batch = list(E.select_bandwidths(samples, NB))
+        assert max(len(set(owners)) for owners in per_step) > 1
+        for got, want in zip(batch, alone):
+            assert got.h_cv.hex() == want.h_cv.hex()
+            assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
+
+    def test_batches_are_selected_as_they_are_asked_for(self, monkeypatch):
+        # a caller that takes one selection at a time holds one batch's curves
+        evaluators = []
+
+        class CountingEvaluator(E._CvEvaluator):
+            def __init__(self, samples, kernel):
+                evaluators.append(len(samples))
+                super().__init__(samples, kernel)
+
+        monkeypatch.setattr(E, "_CvEvaluator", CountingEvaluator)
+        samples = lockstep_samples() * 40
+        first = len(next(E._batches(samples)))
+        selections = E.select_bandwidths(samples, P, E.SearchConfig(1e-3, 5.0, grid_points=16))
+        assert evaluators == []
+        next(selections)
+        assert evaluators == [first]
+        assert len(list(selections)) == len(samples) - 1 and len(evaluators) > 1
+
+    def test_cv_score_is_the_batch_of_one(self):
+        samples = lockstep_samples()
+        hs = np.geomspace(1e-3, 5.0, 9)
+        evaluator = E._CvEvaluator(samples, P)
+        for sample, scores in zip(samples, evaluator.scores(hs)):
+            assert scores == E.cv_score(sample, P, hs).tolist()
+        steps = evaluator.step(hs[: len(samples)])
+        assert steps == [E.cv_score(sample, P, h) for sample, h in zip(samples, hs)]
+
+    def test_batch_names_the_target_limit(self):
+        sample = lockstep_samples()[2]
+        batch = [sample, E.Sample.from_values([100500, 100502, 100507]), sample]
+        for kernel in (P, NB):
+            with pytest.raises(RuntimeError, match=r"targets past 100000.*largest value is 100507"):
+                list(E.select_bandwidths(batch, kernel))
+
+    def test_batches_fit_the_cell_budget(self):
+        # a step grid holds every sample of its batch at its fused span
+        samples = lockstep_samples() * 40
+        batches = list(E._batches(samples))
+        assert [s for batch in batches for s in batch] == samples and len(batches) > 1
+        assert max(len(batch) for batch in batches) > 1
+        for batch in batches:
+            span = max(E.default_eval_hi(s) + 1 + E._TAIL_ROWS for s in batch)
+            cols = max(s.distinct_values.size for s in batch)
+            assert len(batch) == 1 or len(batch) * span * cols <= E._CV_BATCH_CELLS
+
+    def test_wide_batch_scratch_stays_within_one_evaluation(self, monkeypatch):
+        # the largest scratch buffer of a batch of wide samples stays within the
+        # cell budget or one sample's one-bandwidth grid, fused with its first tail
+        sizes = []
+
+        class RecordingScratch(K._Scratch):
+            def get(self, key, shape, dtype=np.float64):
+                sizes.append(math.prod(shape))
+                return super().get(key, shape, dtype)
+
+        monkeypatch.setattr(E, "_Scratch", RecordingScratch)
+        samples = [E.Sample.from_values(np.random.default_rng(seed).integers(0, 400, 400)) for seed in range(9, 17)]
+        one = max((E.default_eval_hi(s) + 1 + E._TAIL_ROWS) * s.distinct_values.size for s in samples)
+        for kernel in (B, P):
+            cfg = E.default_search_config(kernel.family)
+            list(E.select_bandwidths(samples, kernel, E.SearchConfig(cfg.h_min, cfg.h_max, grid_points=16)))
+        assert 0 < max(sizes) <= max(E._CV_GRID_CELLS, one)
+
+
+settings_facts = settings(max_examples=60, deadline=None, derandomize=True)
+shapes = st.tuples(st.integers(1, 6), st.integers(1, 40), st.integers(1, 24), st.integers(0, 8), st.integers(0, 8))
+
+
+class TestNumericFacts:
+    """The floating-point facts the lockstep evaluator relies on.  Zero padding
+    is not among them: a product over zero-padded rows or columns changes the
+    low bits, so no reduction runs over padding."""
+
+    @settings_facts
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    def test_stacked_matmul_equals_per_slice_products(self, shape, seed):
+        J, rows, k, _, _ = shape
+        rng = np.random.default_rng(seed)
+        grids, cs = rng.random((J, rows, k)), rng.integers(1, 9, k).astype(float)
+        want = np.stack([grid @ cs for grid in grids])
+        np.testing.assert_array_equal(np.matmul(grids, cs), want)
+        pairs = rng.random((J, k, k))
+        np.testing.assert_array_equal(cs @ pairs, np.stack([cs @ pair for pair in pairs]))
+
+    @settings_facts
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    def test_stacked_row_dots_equal_ndarray_dot(self, shape, seed):
+        # the evaluator runs each sum as its own dot; stacking them would rely on this
+        J, _, k, _, _ = shape
+        rng = np.random.default_rng(seed)
+        rows, cs = rng.random((J, k)), rng.random(k)
+        want = [row.dot(cs) for row in rows]
+        assert np.matmul(rows[:, None, :], cs[:, None])[:, 0, 0].tolist() == want
+        assert np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0].tolist() == [row.dot(row) for row in rows]
+
+    @settings_facts
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    def test_product_on_a_padded_slice_equals_a_contiguous_copy(self, shape, seed):
+        _, rows, k, pad_cols, pad_rows = shape
+        rng = np.random.default_rng(seed)
+        buffer, cs = rng.random((rows + pad_rows, k + pad_cols)), rng.random(k)
+        view = buffer[:rows, :k]
+        assert (view @ cs).tolist() == (np.ascontiguousarray(view) @ cs).tolist()
+        square = rng.random((k + pad_cols, k + pad_cols))[:k, :k]
+        copy = np.ascontiguousarray(square)
+        assert (cs @ square).tolist() == (cs @ copy).tolist()
+        assert cs.dot(square.diagonal()) == cs.dot(copy.diagonal())
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=12), min_size=1, max_size=4),
+        pick=st.sampled_from(["dirac", "binomial", "poisson", "negbin", "triangular", "triangular3"]),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_padded_batch_grid_equals_each_samples_grid(self, values, pick, u):
+        kernel = {"dirac": D, "binomial": B, "poisson": P, "negbin": NB, "triangular": T1,
+                  "triangular3": K.triangular(3)}[pick]
+        samples = [E.Sample.from_values(v) for v in values]
+        evaluator = E._CvEvaluator([s for s in samples if s.n > 1] or [E.Sample.from_values([0, 1])], kernel)
+        rows = max(evaluator.rows) + 7
+        hs = np.array([[0.0] if kernel is D else [1e-3 + u * (0.999 if kernel is B else 6.0)] for _ in evaluator.us])
+        hs[::2] *= 0.5
+        grids = K._GridTerms(kernel, np.arange(rows), evaluator.points).at(hs)
+        for grid, us, h in zip(grids, evaluator.us, hs):
+            own = K._GridTerms(kernel, np.arange(rows), us).at(h)
+            np.testing.assert_array_equal(grid[0, :, : us.size], own[0])
+
+    @settings_facts
+    @given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+    def test_wrap_take_on_in_range_rows_equals_the_default_gather(self, shape, seed):
+        J, rows, k, _, _ = shape
+        rng = np.random.default_rng(seed)
+        grids, index = rng.random((J, rows, k)), rng.integers(0, rows, k)
+        out = np.empty((J, k, k))
+        np.testing.assert_array_equal(grids.take(index, axis=1, out=out, mode="wrap"), grids.take(index, axis=1))
 
 
 class TestSelectBandwidth:

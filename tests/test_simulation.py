@@ -164,7 +164,7 @@ def pooled_tasks(monkeypatch, workers=2) -> list[tuple]:
     class CountingPool(S.ProcessPoolExecutor):
         def submit(self, fn, /, *args, **kwargs):
             (chunk,) = args  # ProcessPoolExecutor.map submits one chunk of argument tuples per task
-            tasks.append(tuple((kernel.label, n, rep) for _, kernel, n, rep in chunk))
+            tasks.append(tuple((kernel.label, n, rep) for _, kernel, n, run in chunk for rep in run))
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(S, "ProcessPoolExecutor", CountingPool)
