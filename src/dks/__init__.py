@@ -18,6 +18,7 @@ from .estimation import (
     kernel_estimate_raw,
     normalize_estimate,
     select_bandwidth,
+    select_bandwidths,
 )
 from .kernels import (
     KernelFamily,
@@ -38,6 +39,7 @@ from .kernels import (
     poisson,
     triangular,
     triangular_small_h_coeffs,
+    validate_bandwidth,
 )
 from .risk import (
     PoissonPmf,

@@ -177,6 +177,8 @@ def frequency_estimate(sample: Sample, eval_lo: int = 0, eval_hi: int | None = N
     """Empirical proportions count(x)/n on [eval_lo, eval_hi]."""
     if eval_hi is None:
         eval_hi = sample.max_value
+    if eval_lo < 0:
+        raise ValueError("evaluation range must lie in the non-negative integers")
     if eval_lo > sample.min_value or eval_hi < sample.max_value:
         raise ValueError(
             f"evaluation range [{eval_lo}, {eval_hi}] must cover the observed "
@@ -226,18 +228,14 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
     return PmfEstimate(raw.eval_lo, raw.eval_hi, raw.values / total, total, True)
 
 
-# Largest (bandwidths x targets x distinct values) block that one pass of the
-# CV evaluator builds: a grid pass holds bandwidths of one sample, a
-# golden-section step one bandwidth of every sample in the batch.  A sample
-# whose grid exceeds it for a single bandwidth runs alone, one bandwidth per
-# pass, so its peak memory stays that of cv_score.
-_CV_GRID_CELLS = 1 << 16
-
-# Largest step grid of a batch of several samples.  A batch keeps its
-# h-independent terms for all of its steps, and they hold up to three arrays
-# of the grid's size (binomial), so its grid is a quarter of a pass's: a
-# larger batch takes no less time, only more memory.
-_CV_BATCH_CELLS = _CV_GRID_CELLS // 4
+# Largest (sample, bandwidth, target, distinct value) block that one pass of
+# the CV evaluator builds.  A batch keeps the h-independent terms of its
+# grids for all of its passes, up to three arrays of a grid's size
+# (binomial), and its scratch holds up to three more, so a larger block
+# holds more memory for fewer passes.  A sample whose grid exceeds it for a
+# single bandwidth runs alone, one bandwidth per pass, so its peak memory
+# stays that of one evaluation.
+_CV_BATCH_CELLS = 1 << 14
 
 # The first CV term's range is extended in steps of _TAIL_STEP rows while its
 # last summand is above _CV_TAIL_EPS; one kernel grid of _TAIL_ROWS rows
@@ -257,22 +255,22 @@ _CV_MAX_TARGET = 100_000
 class _CvEvaluator:
     """CV(h) of a batch of samples under one kernel, at any bandwidths.
 
-    The samples are checked once, and the h-independent kernel terms of each
-    target range (0..R-1 for the samples of a pass, and each sample's tail
-    extensions) are built on first use and kept, so each bandwidth pays only
-    its h-dependent arithmetic.  That arithmetic writes into two sets of
-    scratch arrays that the evaluator owns, one for the first ranges and
-    their pair grids and one for the tails, so once a range's terms are
-    built, evaluating it allocates no grid-sized array.  Each sample's grid
-    pass starts from fresh terms and scratch, and so do the steps of a batch
-    of several samples, so a batch holds one sample's grid-pass arrays at a
-    time; the batch of one keeps them for its steps.
+    Every pass evaluates every sample of the batch, at J bandwidths each: a
+    grid pass at a chunk of the grid shared by all of them, a golden-section
+    step at one bandwidth of each.  The samples are checked once, and the
+    h-independent kernel terms of each target range (0..R-1 for the batch,
+    and each sample's tail extensions) are built on first use and kept, so
+    each bandwidth pays only its h-dependent arithmetic.  That arithmetic
+    writes into two sets of scratch arrays that the evaluator owns, one for
+    the first ranges and their pair grids and one for the tails, so once a
+    range's terms are built, evaluating it allocates no grid-sized array.
 
-    A pass builds one grid for all of its samples, on the targets of the
+    A pass builds one grid for all of the samples, on the targets of the
     longest first range and padded with points off the kernel's support to
     the most distinct values.  Each sample is then reduced on its own slices
     of that grid, by the matrix-vector products that it would get alone, so
-    its scores do not depend on the other samples of the batch.
+    its scores depend neither on the other samples of the batch nor on how
+    its bandwidths are split into passes.
     """
 
     def __init__(self, samples, kernel: KernelSpec):
@@ -287,20 +285,19 @@ class _CvEvaluator:
         self.points = np.full((len(self.samples), max(us.size for us in self.us)), -1.0 - (kernel.arm or 0))
         for b, us in enumerate(self.us):
             self.points[b, : us.size] = us
-        # whether each sample's last pass summed rows past default_eval_hi
-        self.fused = [False] * len(self.samples)
-        self._terms: dict[tuple, _GridTerms] = {}
-        self._layouts: dict[tuple[int, int, int, bool], _Layout] = {}
+        # whether the last pass summed rows past default_eval_hi for any sample
+        self.fused = False
+        self._terms: dict[int | tuple[int, int], _GridTerms] = {}
+        self._layouts: dict[tuple[int, bool], _Layout] = {}
         self._first, self._tail = _Scratch(), _Scratch()
 
-    def _grid(self, lo: int, hi: int, size: int, hs: np.ndarray) -> np.ndarray:
-        # K_{x,h} on the targets x = 0..size-1 of samples lo..hi-1, padded, as
+    def _grid(self, size: int, hs: np.ndarray) -> np.ndarray:
+        # K_{x,h} on the targets x = 0..size-1 of every sample, padded, as
         # (samples, bandwidths, x, points); it outlives the tails built while
         # it is reduced
-        terms = self._terms.get((lo, hi, size))
+        terms = self._terms.get(size)
         if terms is None:
-            ys = self.points[lo:hi, : max(us.size for us in self.us[lo:hi])]
-            terms = self._terms[lo, hi, size] = _GridTerms(self.kernel, np.arange(size), ys)
+            terms = self._terms[size] = _GridTerms(self.kernel, np.arange(size), self.points)
             terms.scratch = self._first
         return terms.at(hs)
 
@@ -325,46 +322,37 @@ class _CvEvaluator:
     # would change the low bits, so none is run.
 
     def scores(self, hs: np.ndarray) -> list[list[float]]:
-        # Every sample at every bandwidth of hs, one sample at a time, up to
-        # _CV_GRID_CELLS (bandwidth, target, distinct value) cells per pass;
-        # each pass's grids are freed before the next pass builds its own.
+        # Every sample at every bandwidth of hs, in passes of as many
+        # bandwidths as keep the first-range grid and each tail grid within
+        # _CV_BATCH_CELLS cells
         for h in hs.tolist():
             validate_bandwidth(self.kernel, h)
-        out = []
-        for b, (rows, us) in enumerate(zip(self.rows, self.us)):
-            self._release()
-            per_pass = max(1, _CV_GRID_CELLS // (max(rows, _TAIL_ROWS) * us.size))
-            scores: list[float] = []
-            for start in range(0, hs.size, per_pass):
-                scores += self._pass(b, b + 1, hs[None, start : start + per_pass], fused=False)
-            out.append(scores)
-        if len(self.samples) > 1:
-            self._release()
+        cells = max(len(self.samples) * max(self.rows), _TAIL_ROWS) * self.points.shape[1]
+        per_pass = max(1, _CV_BATCH_CELLS // cells)
+        out: list[list[float]] = [[] for _ in self.samples]
+        for start in range(0, hs.size, per_pass):
+            chunk = hs[start : start + per_pass]
+            for row, scores in zip(out, self._pass(np.tile(chunk, (len(self.samples), 1)), fused=False)):
+                row += scores
         return out
-
-    def _release(self):
-        # drop the terms, views and scratch of the passes so far
-        self._terms.clear()
-        self._layouts.clear()
-        self._first, self._tail = _Scratch(), _Scratch()
 
     def step(self, hs) -> list[float]:
         # One bandwidth per sample, all in one pass.  Golden-section steps are
-        # adjacent in h, so once a sample's last pass extended, the step's grid
-        # holds every sample's first range fused with its first tail.
+        # adjacent in h, so once the last pass extended, the step's grid holds
+        # every sample's first range fused with its first tail.
         for h in hs:
             validate_bandwidth(self.kernel, float(h))
-        return self._pass(0, len(self.samples), np.array(hs, dtype=np.float64)[:, None], fused=any(self.fused))
+        return [score for (score,) in self._pass(np.array(hs, dtype=np.float64)[:, None], self.fused)]
 
-    def _pass(self, lo: int, hi: int, hs: np.ndarray, fused: bool) -> list[float]:
-        # hs holds one row of J bandwidths per sample lo..hi-1.  Item q is
-        # bandwidth q % J of sample lo + q // J, and sums[q, :ends[q]] are its
-        # summands, of which the first widths[q] are computed.
-        blocks, J = hs.shape
-        grids = self._grid(lo, hi, max(self.rows[lo:hi]) + (_TAIL_ROWS if fused else 0), hs)
-        layout = self._layouts.get((lo, hi, J, fused))
+    def _pass(self, hs: np.ndarray, fused: bool) -> list[list[float]]:
+        # hs holds one row of J bandwidths per sample.  Item q is bandwidth
+        # q % J of sample q // J, and sums[q, :ends[q]] are its summands, of
+        # which the first widths[q] are computed.
+        J = hs.shape[1]
+        grids = self._grid(max(self.rows) + (_TAIL_ROWS if fused else 0), hs)
+        layout = self._layouts.get((J, fused))
         if layout is None or layout.grids is not grids:
-            layout = self._layouts[lo, hi, J, fused] = _Layout(self, lo, hi, fused, grids)
+            layout = self._layouts[J, fused] = _Layout(self, fused, grids)
         for cs, products in layout.products:
             for grid, out in products:
                 np.matmul(grid, cs, out=out)
@@ -378,7 +366,7 @@ class _CvEvaluator:
             for q in extending:
                 while (live := sums[q, ends[q] - 1] > _CV_TAIL_EPS) and ends[q] < widths[q]:
                     if ends[q] - 1 > _CV_MAX_TARGET:
-                        self._refuse(lo + q // J)
+                        self._refuse(q // J)
                     ends[q] += _TAIL_STEP
                 if live:
                     still.append(q)
@@ -392,24 +380,25 @@ class _CvEvaluator:
             owned: dict[int, list[int]] = {}
             for q in extending:
                 owned.setdefault(q // J, []).append(q)
-            for i, qs in owned.items():
-                b, start = lo + i, widths[qs[0]]
-                tail = self._tail_grid(b, start, hs[i, [q % J for q in qs]])
+            for b, qs in owned.items():
+                start = widths[qs[0]]
+                tail = self._tail_grid(b, start, hs[b, [q % J for q in qs]])
                 sums[qs, start : start + _TAIL_ROWS] = tail @ self.cs[b] / self.samples[b].n
                 for q in qs:
                     widths[q] = start + _TAIL_ROWS
+        self.fused = any(end > rows for end, (rows, _) in zip(ends, layout.items))
         # every index is a row of grids, so mode="wrap" copies the same cells
         # as the default, which would gather through a fresh buffer
         grids.reshape(-1, grids.shape[-1]).take(layout.index, axis=0, out=layout.pairs, mode="wrap")
-        scores = []
-        for i, (cs, pair_grids, diagonals, n2) in enumerate(layout.pair_terms):
-            block = range(i * J, (i + 1) * J)
-            for q, row, diagonal in zip(block, cs @ pair_grids, diagonals):
+        out = []
+        for b, (cs, pair_grids, diagonals, n2) in enumerate(layout.pair_terms):
+            scores = []
+            for q, row, diagonal in zip(range(b * J, (b + 1) * J), cs @ pair_grids, diagonals):
                 vals = sums[q, : ends[q]]
                 pair_sum = float(row.dot(cs) - cs.dot(diagonal))
                 scores.append(float(vals.dot(vals)) - 2.0 * pair_sum / n2)
-            self.fused[lo + i] = max(ends[i * J : (i + 1) * J]) > self.rows[lo + i]
-        return scores
+            out.append(scores)
+        return out
 
     def _refuse(self, b: int):
         raise RuntimeError(
@@ -421,35 +410,34 @@ class _CvEvaluator:
 class _Layout:
     """The exact-shape views that every pass of one shape reduces.
 
-    A pass over samples lo..hi-1, J bandwidths each, gets its grid and pair
-    grids from the evaluator's scratch, the same arrays for every pass of
-    that shape until the scratch grows, and writes its summands into
-    ``sums``.  Each sample's slices of them are made once, here.  A fused
-    pass computes the summands of every sample's first tail with its first
-    range's.
+    A pass at J bandwidths per sample gets its grid and pair grids from the
+    evaluator's scratch, the same arrays for every pass of that shape until
+    the scratch grows, and writes its summands into ``sums``.  Each sample's
+    slices of them are made once, here.  A fused pass computes the summands
+    of every sample's first tail with its first range's.
     """
 
     __slots__ = ("grids", "pairs", "sums", "summands", "n", "index", "items", "products", "pair_terms")
 
-    def __init__(self, evaluator: _CvEvaluator, lo: int, hi: int, fused: bool, grids: np.ndarray):
+    def __init__(self, evaluator: _CvEvaluator, fused: bool, grids: np.ndarray):
         blocks, J, R, cols = grids.shape
         self.grids, self.pairs = grids, evaluator._first.get("pairs", (blocks, J, cols, cols))
         self.sums = np.empty((blocks, J, R))
         self.summands = self.sums.reshape(blocks * J, R)
-        self.n = np.array([evaluator.samples[b].n for b in range(lo, hi)], dtype=np.float64)[:, None, None]
+        self.n = np.array([sample.n for sample in evaluator.samples], dtype=np.float64)[:, None, None]
         # the rows of the pair grids: each sample's points, and row 0 for its padding
-        points = np.maximum(evaluator.points[lo:hi, None, :cols], 0.0).astype(np.int64)
+        points = np.maximum(evaluator.points[:, None, :], 0.0).astype(np.int64)
         self.index = (np.arange(blocks * J) * R).reshape(blocks, J, 1) + points
         self.items, self.products, self.pair_terms = [], [], []
-        for i, b in enumerate(range(lo, hi)):
-            rows, k, cs, n = evaluator.rows[b], evaluator.us[b].size, evaluator.cs[b], evaluator.samples[b].n
+        for b, (rows, cs, sample) in enumerate(zip(evaluator.rows, evaluator.cs, evaluator.samples)):
+            k, n = cs.size, sample.n
             span = rows + _TAIL_ROWS if fused else rows
             self.items += [(rows, span)] * J
-            products = [(grids[i, :, :rows, :k], self.sums[i, :, :rows])]
+            products = [(grids[b, :, :rows, :k], self.sums[b, :, :rows])]
             if fused:
-                products.append((grids[i, :, rows:span, :k], self.sums[i, :, rows:span]))
+                products.append((grids[b, :, rows:span, :k], self.sums[b, :, rows:span]))
             self.products.append((cs, products))
-            pair_grids = self.pairs[i, :, :k, :k]
+            pair_grids = self.pairs[b, :, :k, :k]
             self.pair_terms.append((cs, pair_grids, pair_grids.diagonal(axis1=1, axis2=2), n * (n - 1.0)))
 
 
@@ -458,18 +446,17 @@ def cv_score(sample: Sample, kernel: KernelSpec, h):
     array of CV(h) at every bandwidth of a 1-d ``h``.
 
     The pair sum runs over ordered pairs of distinct observations, grouped
-    through the value -> count map.  Requires n >= 2.  An array's kernel
-    grids are built in passes of up to 2^16 (bandwidth, target, distinct
-    value) cells, and its entry i equals the scalar call at ``h[i]`` bit for
-    bit.
+    through the value -> count map.  Requires n >= 2.  The kernel grids are
+    built in passes of up to 2^14 (bandwidth, target, distinct value) cells,
+    or of one bandwidth where a single one exceeds that, and entry i of an
+    array equals the scalar call at ``h[i]`` bit for bit: a scalar is the
+    array of one bandwidth.
     """
-    evaluator = _CvEvaluator([sample], kernel)
-    if np.ndim(h) == 0:
-        return evaluator.step([h])[0]
     hs = np.asarray(h, dtype=np.float64)
-    if hs.ndim != 1:
+    if hs.ndim > 1:
         raise ValueError(f"bandwidths must be a scalar or a 1-d array, got shape {hs.shape}")
-    return np.array(evaluator.scores(hs)[0])
+    scores = np.array(_CvEvaluator([sample], kernel).scores(hs.reshape(-1))[0])
+    return float(scores[0]) if hs.ndim == 0 else scores
 
 
 def _batches(samples):
@@ -509,17 +496,17 @@ def _golden_section(a: float, b: float):
 
 
 def _select(evaluator: _CvEvaluator, hs: np.ndarray):
-    # Every sample's grid pass, then the golden-section searches of all of
-    # them in lockstep, one evaluator step per probe; yields the selections in
-    # the batch's order.  Each curve is kept as a row of bandwidths and a row
-    # of scores, in the order of evaluation, until its selection is made.
+    # The batch's grid pass, then the golden-section searches of all of its
+    # samples in lockstep, one evaluator step per probe; yields the selections
+    # in the batch's order.  Each curve is kept as a row of bandwidths and a
+    # row of scores, in the order of evaluation, until its selection is made.
     G = hs.size
     h_at = np.empty((len(evaluator.samples), G + 2 + _REFINE_ITERATIONS))
     cv_at = np.empty_like(h_at)
     h_at[:, :G] = hs
+    cv_at[:, :G] = evaluator.scores(hs)
     searches = []
-    for b, scores in enumerate(evaluator.scores(hs)):
-        cv_at[b, :G] = scores
+    for scores in cv_at[:, :G]:
         i = int(np.argmin(scores))
         searches.append(_golden_section(math.log(hs[max(i - 1, 0)]), math.log(hs[min(i + 1, len(hs) - 1)])))
     ts = [next(search) for search in searches]
@@ -545,11 +532,11 @@ def select_bandwidths(
     order.
 
     The samples are selected in lockstep, in batches whose step grids fit in
-    2^14 cells: one pass evaluates a golden-section step of every selection
-    in the batch.  Each selection equals ``select_bandwidth`` on its sample
-    alone, bit for bit.  A batch is selected when the first of its
-    selections is asked for, so a caller that keeps only the bandwidths
-    holds the curves of one batch at a time.
+    2^14 cells: one pass evaluates a chunk of the grid, or a golden-section
+    step, of every selection in the batch.  Each selection equals
+    ``select_bandwidth`` on its sample alone, bit for bit.  A batch is
+    selected when the first of its selections is asked for, so a caller
+    that keeps only the bandwidths holds the curves of one batch at a time.
     """
     cfg = config if config is not None else default_search_config(kernel.family)
     validate_bandwidth(kernel, cfg.h_max)

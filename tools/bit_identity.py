@@ -25,9 +25,9 @@ prints nothing.  The set:
   ``cv_curve``, plus ``cv_score`` at an array of bandwidths and at scalars;
 - ``wide``: the same on wide samples (up to 400 distinct values spread
   over 0..400, whose grids take the evaluator's one-bandwidth passes, and
-  two mid-width samples whose batched passes hold several bandwidths, the
-  wider one on binomial grids large enough for the masked ``exp``), with the
-  raw estimate at the selected bandwidth;
+  two mid-width samples: the narrower one's grid passes hold three
+  bandwidths, the wider one's binomial grids are large enough for the
+  masked ``exp``), with the raw estimate at the selected bandwidth;
 - ``risk``: ``exact_mise`` breakdowns (per-target bias, variance,
   off-target terms, MISE and AMISE) for Poisson and tabulated truths, the
   dirac kernel and six kernels at three bandwidths each.
