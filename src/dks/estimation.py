@@ -230,7 +230,7 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
 
 # Largest (sample, bandwidth, target, distinct value) block that one pass of
 # the CV evaluator builds.  A batch keeps the h-independent terms of its
-# grids for all of its passes, up to three arrays of a grid's size
+# grid for all of its passes, up to three arrays of the grid's size
 # (binomial), and its scratch holds up to three more, so a larger block
 # holds more memory for fewer passes.  A sample whose grid exceeds it for a
 # single bandwidth runs alone, one bandwidth per pass, so its peak memory
@@ -238,8 +238,7 @@ def normalize_estimate(raw: PmfEstimate) -> PmfEstimate:
 _CV_BATCH_CELLS = 1 << 14
 
 # The first CV term's range is extended in steps of _TAIL_STEP rows while its
-# last summand is above _CV_TAIL_EPS; one kernel grid of _TAIL_ROWS rows
-# serves four steps.
+# last summand is above _CV_TAIL_EPS; a batch leaves room for _TAIL_ROWS.
 _TAIL_STEP = 16
 _TAIL_ROWS = 4 * _TAIL_STEP
 _CV_TAIL_EPS = 1e-12
@@ -252,25 +251,26 @@ _REFINE_ITERATIONS = 40
 _CV_MAX_TARGET = 100_000
 
 
+class _BatchTooWide(Exception):
+    """A batch of several samples needs a grid past _CV_BATCH_CELLS at one bandwidth."""
+
+
 class _CvEvaluator:
     """CV(h) of a batch of samples under one kernel, at any bandwidths.
 
     Every pass evaluates every sample of the batch, at J bandwidths each: a
     grid pass at a chunk of the grid shared by all of them, a golden-section
     step at one bandwidth of each.  The samples are checked once, and the
-    h-independent kernel terms of each target range (0..R-1 for the batch,
-    and each sample's tail extensions) are built on first use and kept, so
-    each bandwidth pays only its h-dependent arithmetic.  That arithmetic
-    writes into two sets of scratch arrays that the evaluator owns, one for
-    the first ranges and their pair grids and one for the tails, so once a
-    range's terms are built, evaluating it allocates no grid-sized array.
+    h-independent kernel terms are built once per span, so each bandwidth
+    pays only its h-dependent arithmetic, written into scratch arrays that
+    the evaluator owns: a pass on a built span allocates no grid-sized array.
 
-    A pass builds one grid for all of the samples, on the targets of the
-    longest first range and padded with points off the kernel's support to
-    the most distinct values.  Each sample is then reduced on its own slices
-    of that grid, by the matrix-vector products that it would get alone, so
-    its scores depend neither on the other samples of the batch nor on how
-    its bandwidths are split into passes.
+    A pass builds one grid for all of the samples, on the targets
+    0..span-1, padded with points off the kernel's support to the most
+    distinct values.  Each sample is reduced on its own slices of it, by the
+    matrix-vector products that it would get alone, so its scores depend
+    neither on the other samples, nor on the span, nor on how its
+    bandwidths are split into passes.
     """
 
     def __init__(self, samples, kernel: KernelSpec):
@@ -285,108 +285,87 @@ class _CvEvaluator:
         self.points = np.full((len(self.samples), max(us.size for us in self.us)), -1.0 - (kernel.arm or 0))
         for b, us in enumerate(self.us):
             self.points[b, : us.size] = us
-        # whether the last pass summed rows past default_eval_hi for any sample
-        self.fused = False
-        self._terms: dict[int | tuple[int, int], _GridTerms] = {}
-        self._layouts: dict[tuple[int, bool], _Layout] = {}
-        self._first, self._tail = _Scratch(), _Scratch()
+        self.span = max(self.rows)
+        self._terms: _GridTerms | None = None
+        self._layout: _Layout | None = None
+        self._scratch = _Scratch()
 
-    def _grid(self, size: int, hs: np.ndarray) -> np.ndarray:
-        # K_{x,h} on the targets x = 0..size-1 of every sample, padded, as
-        # (samples, bandwidths, x, points); it outlives the tails built while
-        # it is reduced
-        terms = self._terms.get(size)
-        if terms is None:
-            terms = self._terms[size] = _GridTerms(self.kernel, np.arange(size), self.points)
-            terms.scratch = self._first
-        return terms.at(hs)
+    def _grid(self, hs: np.ndarray) -> np.ndarray:
+        # K_{x,h} on the targets x = 0..span-1 of every sample, padded, as
+        # (samples, bandwidths, x, points)
+        if self._terms is None:
+            self._terms = _GridTerms(self.kernel, np.arange(self.span), self.points)
+            self._terms.scratch = self._scratch
+        return self._terms.at(hs)
 
-    def _tail_grid(self, b: int, start: int, hs: np.ndarray) -> np.ndarray:
-        # K_{x,h}(us) of sample b on the _TAIL_ROWS targets from start, as (bandwidths, x, us)
-        terms = self._terms.get((b, start))
-        if terms is None:
-            terms = self._terms[b, start] = _GridTerms(self.kernel, np.arange(start, start + _TAIL_ROWS), self.us[b])
-            terms.scratch = self._tail
-        return terms.at(hs)
-
-    # The first term's range grows past default_eval_hi, one step at a time,
-    # until the summand at its end is at most _CV_TAIL_EPS; this matters for the
-    # diffuse families whose mass extends well beyond the largest
-    # observation.  Every observed value is a target, so the rows us of a
-    # bandwidth's grid are the pair grid K_{us,h}(us).  Each bandwidth is
-    # reduced on its own 2-d slices, of its sample's exact shape: one
-    # matrix-vector product for the first range and one per 64-row tail (a
-    # stacked matmul runs one product per slice), so its score depends
-    # neither on which bandwidths or samples share its grids, nor on whether
-    # its first tail was fused.  A product over zero-padded rows or columns
-    # would change the low bits, so none is run.
+    # The span starts at the longest first range, past default_eval_hi, and
+    # grows by _TAIL_STEP rows whenever a first term's summand is above
+    # _CV_TAIL_EPS at the last row that it holds; the diffuse families have
+    # mass well beyond the largest observation.  Every observed value is a
+    # target, so the rows us of a bandwidth's grid are the pair grid
+    # K_{us,h}(us).  Each bandwidth is reduced on 2-d slices of its sample's
+    # exact shape: one matrix-vector product over its first range and one
+    # over the whole _TAIL_STEP-row blocks past it, which gives each row the
+    # bits of its own block.  A product over zero-padded rows or columns would
+    # change the low bits, so none is run.
 
     def scores(self, hs: np.ndarray) -> list[list[float]]:
-        # Every sample at every bandwidth of hs, in passes of as many
-        # bandwidths as keep the first-range grid and each tail grid within
-        # _CV_BATCH_CELLS cells
+        # Every sample at every bandwidth of hs.  The first pass holds one
+        # bandwidth: the poisson, binomial and negbin kernels fall with h at
+        # every observed value below x + h, so on an ascending grid it settles
+        # the span.  The others hold as many as fit in _CV_BATCH_CELLS.
         for h in hs.tolist():
             validate_bandwidth(self.kernel, h)
-        cells = max(len(self.samples) * max(self.rows), _TAIL_ROWS) * self.points.shape[1]
-        per_pass = max(1, _CV_BATCH_CELLS // cells)
         out: list[list[float]] = [[] for _ in self.samples]
-        for start in range(0, hs.size, per_pass):
-            chunk = hs[start : start + per_pass]
-            for row, scores in zip(out, self._pass(np.tile(chunk, (len(self.samples), 1)), fused=False)):
-                row += scores
+        start = 0
+        while start < hs.size:
+            per_pass = max(1, _CV_BATCH_CELLS // (len(self.samples) * self.span * self.points.shape[1]))
+            chunk = hs[start : start + (per_pass if start else 1)]
+            if (scores := self._pass(np.tile(chunk, (len(self.samples), 1)))) is not None:
+                for row, sample_scores in zip(out, scores):
+                    row += sample_scores
+                start += chunk.size
         return out
 
     def step(self, hs) -> list[float]:
-        # One bandwidth per sample, all in one pass.  Golden-section steps are
-        # adjacent in h, so once the last pass extended, the step's grid holds
-        # every sample's first range fused with its first tail.
+        # One bandwidth per sample, all in one pass
         for h in hs:
             validate_bandwidth(self.kernel, float(h))
-        return [score for (score,) in self._pass(np.array(hs, dtype=np.float64)[:, None], self.fused)]
+        while (scores := self._pass(np.array(hs, dtype=np.float64)[:, None])) is None:
+            pass
+        return [score for (score,) in scores]
 
-    def _pass(self, hs: np.ndarray, fused: bool) -> list[list[float]]:
+    def _pass(self, hs: np.ndarray) -> list[list[float]] | None:
         # hs holds one row of J bandwidths per sample.  Item q is bandwidth
-        # q % J of sample q // J, and sums[q, :ends[q]] are its summands, of
-        # which the first widths[q] are computed.
+        # q % J of sample q // J, and sums[q, :ends[q]] are its summands.
+        # Returns None once the span has grown, for the pass to run again.
         J = hs.shape[1]
-        grids = self._grid(max(self.rows) + (_TAIL_ROWS if fused else 0), hs)
-        layout = self._layouts.get((J, fused))
-        if layout is None or layout.grids is not grids:
-            layout = self._layouts[J, fused] = _Layout(self, fused, grids)
+        if self._layout is not None and self._layout.grids.shape[1] != J:
+            self._layout = None  # its views would keep the scratch's old buffers alive as it grows
+        grids = self._grid(hs)
+        if self._layout is None or self._layout.grids is not grids:
+            self._layout = _Layout(self, grids)
+        layout = self._layout
         for cs, products in layout.products:
             for grid, out in products:
                 np.matmul(grid, cs, out=out)
         layout.sums /= layout.n
         sums = layout.summands
-        ends = [rows for rows, _ in layout.items]
-        widths = [span for _, span in layout.items]
-        extending = range(len(ends))
-        while extending:
-            still = []
-            for q in extending:
-                while (live := sums[q, ends[q] - 1] > _CV_TAIL_EPS) and ends[q] < widths[q]:
-                    if ends[q] - 1 > _CV_MAX_TARGET:
-                        self._refuse(q // J)
-                    ends[q] += _TAIL_STEP
-                if live:
-                    still.append(q)
-            extending = still
-            if not extending:
-                break
-            # one tail grid per sample for its bandwidths still extending,
-            # which share a width
-            if max(widths[q] for q in extending) + _TAIL_ROWS > sums.shape[1]:
-                sums = np.concatenate([sums, np.zeros((sums.shape[0], _TAIL_ROWS))], axis=1)
-            owned: dict[int, list[int]] = {}
-            for q in extending:
-                owned.setdefault(q // J, []).append(q)
-            for b, qs in owned.items():
-                start = widths[qs[0]]
-                tail = self._tail_grid(b, start, hs[b, [q % J for q in qs]])
-                sums[qs, start : start + _TAIL_ROWS] = tail @ self.cs[b] / self.samples[b].n
-                for q in qs:
-                    widths[q] = start + _TAIL_ROWS
-        self.fused = any(end > rows for end, (rows, _) in zip(ends, layout.items))
+        ends = []
+        for q, (end, limit) in enumerate(layout.items):
+            while sums[q, end - 1] > _CV_TAIL_EPS:
+                if end - 1 > _CV_MAX_TARGET:
+                    self._refuse(q // J)
+                if end == limit:
+                    # the pass runs again on _TAIL_STEP more rows, with terms and
+                    # scratch built afresh, so that the old ones are freed first
+                    self.span += _TAIL_STEP
+                    if len(self.samples) > 1 and len(self.samples) * self.span * self.points.shape[1] > _CV_BATCH_CELLS:
+                        raise _BatchTooWide
+                    self._terms, self._layout, self._scratch = None, None, _Scratch()
+                    return None
+                end += _TAIL_STEP
+            ends.append(end)
         # every index is a row of grids, so mode="wrap" copies the same cells
         # as the default, which would gather through a fresh buffer
         grids.reshape(-1, grids.shape[-1]).take(layout.index, axis=0, out=layout.pairs, mode="wrap")
@@ -408,34 +387,35 @@ class _CvEvaluator:
 
 
 class _Layout:
-    """The exact-shape views that every pass of one shape reduces.
+    """The exact-shape views that every pass of one grid shape reduces.
 
     A pass at J bandwidths per sample gets its grid and pair grids from the
     evaluator's scratch, the same arrays for every pass of that shape until
-    the scratch grows, and writes its summands into ``sums``.  Each sample's
-    slices of them are made once, here.  A fused pass computes the summands
-    of every sample's first tail with its first range's.
+    the span or the scratch grows, and writes its summands into ``sums``.
+    Each sample's slices of them are made once, here: its first range, and
+    every whole _TAIL_STEP-row block past it that the grid holds.
     """
 
     __slots__ = ("grids", "pairs", "sums", "summands", "n", "index", "items", "products", "pair_terms")
 
-    def __init__(self, evaluator: _CvEvaluator, fused: bool, grids: np.ndarray):
+    def __init__(self, evaluator: _CvEvaluator, grids: np.ndarray):
         blocks, J, R, cols = grids.shape
-        self.grids, self.pairs = grids, evaluator._first.get("pairs", (blocks, J, cols, cols))
+        self.grids, self.pairs = grids, evaluator._scratch.get("pairs", (blocks, J, cols, cols))
         self.sums = np.empty((blocks, J, R))
         self.summands = self.sums.reshape(blocks * J, R)
         self.n = np.array([sample.n for sample in evaluator.samples], dtype=np.float64)[:, None, None]
         # the rows of the pair grids: each sample's points, and row 0 for its padding
         points = np.maximum(evaluator.points[:, None, :], 0.0).astype(np.int64)
         self.index = (np.arange(blocks * J) * R).reshape(blocks, J, 1) + points
+        # each item's first range and the end of its last whole block
         self.items, self.products, self.pair_terms = [], [], []
         for b, (rows, cs, sample) in enumerate(zip(evaluator.rows, evaluator.cs, evaluator.samples)):
             k, n = cs.size, sample.n
-            span = rows + _TAIL_ROWS if fused else rows
-            self.items += [(rows, span)] * J
+            limit = R - (R - rows) % _TAIL_STEP
+            self.items += [(rows, limit)] * J
             products = [(grids[b, :, :rows, :k], self.sums[b, :, :rows])]
-            if fused:
-                products.append((grids[b, :, rows:span, :k], self.sums[b, :, rows:span]))
+            if limit > rows:
+                products.append((grids[b, :, rows:limit, :k], self.sums[b, :, rows:limit]))
             self.products.append((cs, products))
             pair_grids = self.pairs[b, :, :k, :k]
             self.pair_terms.append((cs, pair_grids, pair_grids.diagonal(axis1=1, axis2=2), n * (n - 1.0)))
@@ -461,8 +441,8 @@ def cv_score(sample: Sample, kernel: KernelSpec, h):
 
 def _batches(samples):
     # Runs of consecutive samples whose step grid fits in _CV_BATCH_CELLS with
-    # every sample at its longest first range (fused with its first tail); a
-    # wider sample is a batch of its own.
+    # room for _TAIL_ROWS rows past the longest first range; a wider sample is
+    # a batch of its own.
     batch: list[Sample] = []
     span = cols = 0
     for sample in samples:
@@ -495,14 +475,14 @@ def _golden_section(a: float, b: float):
             fd = yield d
 
 
-def _select(evaluator: _CvEvaluator, hs: np.ndarray):
+def _curves(evaluator: _CvEvaluator, hs: np.ndarray) -> np.ndarray:
     # The batch's grid pass, then the golden-section searches of all of its
-    # samples in lockstep, one evaluator step per probe; yields the selections
-    # in the batch's order.  Each curve is kept as a row of bandwidths and a
-    # row of scores, in the order of evaluation, until its selection is made.
+    # samples in lockstep, one evaluator step per probe.  Returns each
+    # sample's curve as a row of bandwidths and a row of scores, in the order
+    # of evaluation, as a (2, samples, evaluations) array.
     G = hs.size
-    h_at = np.empty((len(evaluator.samples), G + 2 + _REFINE_ITERATIONS))
-    cv_at = np.empty_like(h_at)
+    curves = np.empty((2, len(evaluator.samples), G + 2 + _REFINE_ITERATIONS))
+    h_at, cv_at = curves
     h_at[:, :G] = hs
     cv_at[:, :G] = evaluator.scores(hs)
     searches = []
@@ -516,8 +496,17 @@ def _select(evaluator: _CvEvaluator, hs: np.ndarray):
         h_at[:, k], cv_at[:, k] = probes, scores
         if k + 1 < h_at.shape[1]:
             ts = [search.send(score) for search, score in zip(searches, scores)]
+    return curves
 
-    for h_row, cv_row in zip(h_at, cv_at):
+
+def _select(batch, kernel: KernelSpec, hs: np.ndarray):
+    # The selections of a batch, in its order.  A batch whose grid outgrows
+    # _CV_BATCH_CELLS is selected sample by sample, with the same bits.
+    try:
+        curves = _curves(_CvEvaluator(batch, kernel), hs)
+    except _BatchTooWide:
+        curves = np.concatenate([_curves(_CvEvaluator([sample], kernel), hs) for sample in batch], axis=1)
+    for h_row, cv_row in zip(*curves):
         curve = list(zip(h_row.tolist(), cv_row.tolist()))
         best_h, _ = min(curve, key=lambda t: (t[1], t[0]))
         yield BandwidthSelection(float(best_h), sorted(curve))
@@ -533,7 +522,8 @@ def select_bandwidths(
 
     The samples are selected in lockstep, in batches whose step grids fit in
     2^14 cells: one pass evaluates a chunk of the grid, or a golden-section
-    step, of every selection in the batch.  Each selection equals
+    step, of every selection in the batch; a batch whose first CV terms
+    outgrow that is selected sample by sample.  Each selection equals
     ``select_bandwidth`` on its sample alone, bit for bit.  A batch is
     selected when the first of its selections is asked for, so a caller
     that keeps only the bandwidths holds the curves of one batch at a time.
@@ -542,7 +532,7 @@ def select_bandwidths(
     validate_bandwidth(kernel, cfg.h_max)
     hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
     for batch in _batches(samples):
-        yield from _select(_CvEvaluator(batch, kernel), hs)
+        yield from _select(batch, kernel, hs)
 
 
 def select_bandwidth(

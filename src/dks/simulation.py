@@ -62,6 +62,8 @@ class SimulationConfig:
     def __post_init__(self):
         self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
         self.kernels = tuple(self.kernels)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if any(n < 2 for n in self.sample_sizes):

@@ -67,9 +67,14 @@ class TestHelpAndUsage:
              "mu must be finite, got inf"),
             (["cv", "--data", "builtin:safou", "--kernel", "triangular:0"],
              "triangular kernel needs an integer arm >= 1"),
+            (["simulate", "--true", "poisson:2", "--sizes", "15", "--replicates", "2", "--kernels", "dirac",
+              "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["reproduce", "--table", "1", "--seed", "-5"], "seed must be >= 0, got -5"),
+            (["reproduce", "--table", "2", "--seed", "-5"], "seed must be >= 0, got -5"),
+            (["reproduce", "--table", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
         ids=["replicates", "sizes", "estimate-h", "h-list", "risk-n", "true-mu", "true-mu-inf", "simulate-mu-inf",
-             "triangular-arm"],
+             "triangular-arm", "simulate-seed", "table1-seed", "table2-seed", "table3-seed"],
     )
     def test_out_of_range_flag_value_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -183,6 +183,17 @@ def reference_cv_score(sample, kernel, h, tail_eps=1e-12):
     return term1 - 2.0 * pair_sum / (n * (n - 1.0))
 
 
+def reference_tail_rows(sample, kernel, h, tail_eps=1e-12):
+    """The rows past default_eval_hi that reference_cv_score sums at h."""
+    us, cs, n = sample.distinct_values, sample.value_counts, sample.n
+    hi = last = E.default_eval_hi(sample)
+    vals = K.pmf_grid(kernel, np.arange(0, hi + 1), h, us) @ cs / n
+    while vals[-1] > tail_eps:
+        vals = K.pmf_grid(kernel, np.arange(last + 1, last + 17), h, us) @ cs / n
+        last += 16
+    return last - hi
+
+
 def reference_select(sample, kernel, cfg):
     """The 106-call selection loop: 64 sequential grid points, then 42
     golden-section steps, every one through reference_cv_score."""
@@ -358,13 +369,11 @@ class TestBatchedCv:
 
     @pytest.mark.parametrize("kernel", [B, P, NB, T1])
     def test_wide_sample_score_reuses_the_evaluators_grids(self, kernel):
-        # once a range's terms and scratch exist, a score allocates no grid:
+        # once the span's terms and scratch exist, a score allocates no grid:
         # its peak stays below the bytes of one first-range grid
         sample = E.Sample.from_values(np.random.default_rng(9).integers(0, 400, 400))
         evaluator = E._CvEvaluator([sample], kernel)
         evaluator.step([0.3])
-        if evaluator.fused:  # the next step fuses its first tail: a new range
-            evaluator.step([0.2])
         peak = tracemalloc_peak(lambda: evaluator.step([0.5]))
         assert peak < evaluator.rows[0] * sample.distinct_values.size * 8
 
@@ -426,8 +435,8 @@ class TestCvEvaluator:
             np.testing.assert_array_equal(terms.at(np.array([h]))[0], want)
 
     def test_terms_built_once_per_target_range(self, monkeypatch):
-        # one selection builds the h-independent terms of each target range
-        # once, however many bandwidths it evaluates
+        # one selection builds the h-independent terms of each span once,
+        # however many bandwidths it evaluates
         built = []
 
         class CountingTerms(K._GridTerms):
@@ -440,18 +449,21 @@ class TestCvEvaluator:
         sel = E.select_bandwidth(sample, P, E.SearchConfig(3.0, 6.0, grid_points=16))
         assert len(sel.cv_curve) == 16 + 42
         rows = E.default_eval_hi(sample) + 1
-        # the grid pass, its first tail, and the steps' first range fused with
-        # that tail; the steps reuse their terms
-        assert built == [(0, rows), (rows, E._TAIL_ROWS), (0, rows + E._TAIL_ROWS)]
+        # the grid pass's first bandwidth, h = 3, grows the span in steps to
+        # the rows that its first term needs; every later pass reuses its terms
+        tail = reference_tail_rows(sample, P, 3.0)
+        assert tail > E._TAIL_STEP
+        assert built == [(0, rows + grown) for grown in range(0, tail + 1, E._TAIL_STEP)]
 
     @pytest.mark.parametrize(
         "kernel, cfg",
         [(P, E.SearchConfig(3.0, 6.0, 16)), (NB, E.SearchConfig(3.0, 6.0, 16)), (B, E.SearchConfig(1e-4, 1.0, 16))],
     )
     def test_step_score_does_not_depend_on_history(self, kernel, cfg):
-        # a step after an extending one builds its first range and first tail
-        # as one grid; its score must not show which grids it came from.  The
-        # binomial first term extends on these samples below h = 0.1 only.
+        # a step runs on the span that the evaluator holds, grown by the
+        # steps before it or grown by its own first term; its score must not
+        # show which grids it came from.  The binomial first term extends on
+        # these samples below h = 0.1 only.
         rng = np.random.default_rng(21)
         hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
         histories = set()
@@ -463,24 +475,24 @@ class TestCvEvaluator:
                 for before in (hs[0], hs[-1]):
                     evaluator = E._CvEvaluator([sample], kernel)
                     evaluator.step([before])
-                    histories.add(evaluator.fused)
+                    histories.add(evaluator.span > evaluator.rows[0])
                     assert evaluator.step([h])[0].hex() == want
         assert histories == ({True, False} if kernel is B else {True})
 
     def test_fused_step_names_the_target_limit(self):
-        # the steps taken from a fused first tail are checked against the
+        # a step on a span grown past the first range is checked against the
         # target limit too
         sample = E.Sample.from_values([100500, 100502, 100507])
         for kernel in (P, NB):
             evaluator = E._CvEvaluator([sample], kernel)
-            evaluator.fused = True
+            evaluator.span += E._TAIL_ROWS
             with pytest.raises(RuntimeError, match=r"targets past 100000.*largest value is 100507"):
                 evaluator.step([0.1])
-            assert evaluator.rows[0] + E._TAIL_ROWS in evaluator._terms
+            assert len(evaluator._terms.X) == evaluator.rows[0] + E._TAIL_ROWS
 
     def test_one_grid_per_extending_step(self, monkeypatch):
-        # every negbin first term extends, so each golden-section step builds
-        # its first range and first tail as one grid
+        # every negbin first term extends; the grid pass settles the span, so
+        # each golden-section step builds one grid, at that span
         grids, per_step = [], []
         at, step = K._GridTerms.at, E._CvEvaluator.step
 
@@ -498,10 +510,10 @@ class TestCvEvaluator:
         monkeypatch.setattr(E._CvEvaluator, "step", counting_step)
         for seed in range(3):
             sample = E.Sample.from_values(np.random.default_rng(seed).poisson(2.0, 50))
-            fused = [(0, E.default_eval_hi(sample) + 1 + E._TAIL_ROWS)]
+            span = E.default_eval_hi(sample) + 1 + reference_tail_rows(sample, NB, 1e-4)
             per_step.clear()
             E.select_bandwidth(sample, NB)
-            assert per_step == [fused] * 42
+            assert per_step == [[(0, span)]] * 42
 
     def test_scores_match_naive_double_loop(self):
         rng = np.random.default_rng(12)
@@ -559,9 +571,9 @@ class TestCvEvaluator:
 
 def lockstep_samples():
     """Eight samples of mixed shapes: the first selects on a domain bound
-    (binomial h = 1, triangular(p=1) h = 10), the second takes its negbin
-    golden-section steps past the fused tail into a second tail, and the
-    rest differ in their maxima and distinct-value counts."""
+    (binomial h = 1, triangular(p=1) h = 10), the second's negbin first term
+    needs more than _TAIL_ROWS rows past its first range, and the rest
+    differ in their maxima and distinct-value counts."""
     from dks.risk import PoissonPmf
     from dks.simulation import replicate_stream, sample_from_pmf
 
@@ -580,6 +592,17 @@ def lockstep_samples():
     ]
 
 
+def fallback_batch():
+    """One batch of three samples whose step grid fits _CV_BATCH_CELLS with
+    room for _TAIL_ROWS rows, but not with the 80 that the Poisson(60)
+    draw's negbin first term needs."""
+    return [
+        E.Sample.from_values(np.random.default_rng(4).poisson(60, 12)),
+        E.Sample.from_values(range(0, 58, 2)),
+        E.Sample.from_values(np.random.default_rng(6).integers(0, 30, 40)),
+    ]
+
+
 class TestLockstep:
     @pytest.mark.parametrize("kernel", [B, P, NB, T1, K.triangular(2)])
     def test_batch_equals_each_sample_alone(self, kernel):
@@ -594,58 +617,63 @@ class TestLockstep:
                 assert got.h_cv.hex() == want.h_cv.hex()
                 assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
 
-    def test_batch_steps_reach_a_second_tail(self, monkeypatch):
-        # the second sample's negbin steps extend past their fused first tail
+    def test_batch_steps_reach_a_second_tail(self):
+        # the second sample's negbin first term grows the batch's span past
+        # _TAIL_ROWS rows beyond its first range
         samples = lockstep_samples()[:3]
         evaluator = E._CvEvaluator(samples, NB)
-        tails, stepping = [], []
-        tail_grid, step = E._CvEvaluator._tail_grid, E._CvEvaluator.step
-
-        def recording_tail_grid(self, b, start, hs):
-            if stepping:
-                tails.append((b, start))
-            return tail_grid(self, b, start, hs)
-
-        def recording_step(self, hs):
-            stepping.append(True)
-            return step(self, hs)
-
-        monkeypatch.setattr(E._CvEvaluator, "_tail_grid", recording_tail_grid)
-        monkeypatch.setattr(E._CvEvaluator, "step", recording_step)
-        hs = np.geomspace(1e-4, 5.0, 64)
-        got = list(E._select(evaluator, hs))
-        assert (1, evaluator.rows[1] + E._TAIL_ROWS) in tails
-        monkeypatch.undo()
-        assert [sel.h_cv for sel in got] == [E.select_bandwidth(sample, NB).h_cv for sample in samples]
+        h_at, cv_at = E._curves(evaluator, np.geomspace(1e-4, 5.0, 64))
+        assert evaluator.span > evaluator.rows[1] + E._TAIL_ROWS
+        for sample, h_row, cv_row in zip(samples, h_at, cv_at):
+            want = E.select_bandwidth(sample, NB).cv_curve
+            assert hex_curve(sorted(zip(h_row.tolist(), cv_row.tolist()))) == hex_curve(want)
 
     def test_steps_extend_several_samples_at_once(self, monkeypatch):
-        # on Poisson(40) draws the negbin steps of several samples extend past
-        # their fused rows in the same step, each into its own tail grid
+        # on Poisson(40) draws the negbin first terms of several samples of
+        # one batch run past _TAIL_ROWS rows beyond their first ranges
         from dks.risk import PoissonPmf
         from dks.simulation import replicate_stream, sample_from_pmf
 
         samples = [sample_from_pmf(PoissonPmf(40.0), 30, replicate_stream(7, 30, r)) for r in range(4)]
         alone = [E.select_bandwidth(sample, NB) for sample in samples]
-        per_step, stepping = [], []
-        tail_grid, step = E._CvEvaluator._tail_grid, E._CvEvaluator.step
+        evaluators = []
 
-        def recording_tail_grid(self, b, start, hs):
-            if stepping:
-                per_step[-1].append(b)
-            return tail_grid(self, b, start, hs)
+        class RecordingEvaluator(E._CvEvaluator):
+            def __init__(self, samples, kernel):
+                evaluators.append(self)
+                super().__init__(samples, kernel)
 
-        def recording_step(self, hs):
-            stepping.append(True)
-            per_step.append([])
-            return step(self, hs)
-
-        monkeypatch.setattr(E._CvEvaluator, "_tail_grid", recording_tail_grid)
-        monkeypatch.setattr(E._CvEvaluator, "step", recording_step)
+        monkeypatch.setattr(E, "_CvEvaluator", RecordingEvaluator)
         batch = list(E.select_bandwidths(samples, NB))
-        assert max(len(set(owners)) for owners in per_step) > 1
+        (evaluator,) = evaluators
+        assert sum(evaluator.span - rows > E._TAIL_ROWS for rows in evaluator.rows) > 1
         for got, want in zip(batch, alone):
             assert got.h_cv.hex() == want.h_cv.hex()
             assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
+
+    def test_batch_past_the_cell_budget_is_selected_sample_by_sample(self, monkeypatch):
+        # the first sample's negbin first term grows the span of this batch
+        # past _CV_BATCH_CELLS, so each sample is selected alone; its poisson
+        # first term stays within the batch's _TAIL_ROWS allowance
+        samples = fallback_batch()
+        assert len(list(E._batches(samples))) == 1
+        evaluators = []
+
+        class CountingEvaluator(E._CvEvaluator):
+            def __init__(self, samples, kernel):
+                evaluators.append(len(samples))
+                super().__init__(samples, kernel)
+
+        for kernel, made in ((NB, [3, 1, 1, 1]), (P, [3])):
+            alone = [E.select_bandwidth(sample, kernel) for sample in samples]
+            evaluators.clear()
+            monkeypatch.setattr(E, "_CvEvaluator", CountingEvaluator)
+            batch = list(E.select_bandwidths(samples, kernel))
+            monkeypatch.undo()
+            assert evaluators == made
+            for got, want in zip(batch, alone):
+                assert got.h_cv.hex() == want.h_cv.hex()
+                assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
 
     def test_batches_are_selected_as_they_are_asked_for(self, monkeypatch):
         # a caller that takes one selection at a time holds one batch's curves
@@ -666,13 +694,15 @@ class TestLockstep:
         assert len(list(selections)) == len(samples) - 1 and len(evaluators) > 1
 
     def test_cv_score_is_the_batch_of_one(self):
-        samples = lockstep_samples()
         hs = np.geomspace(1e-3, 5.0, 9)
-        evaluator = E._CvEvaluator(samples, P)
-        for sample, scores in zip(samples, evaluator.scores(hs)):
-            assert scores == E.cv_score(sample, P, hs).tolist()
-        steps = evaluator.step(hs[: len(samples)])
-        assert steps == [E.cv_score(sample, P, h) for sample, h in zip(samples, hs)]
+        batches = list(E._batches(lockstep_samples()))
+        assert max(len(batch) for batch in batches) > 1
+        for batch in batches:
+            evaluator = E._CvEvaluator(batch, P)
+            for sample, scores in zip(batch, evaluator.scores(hs)):
+                assert scores == E.cv_score(sample, P, hs).tolist()
+            steps = evaluator.step(hs[: len(batch)])
+            assert steps == [E.cv_score(sample, P, h) for sample, h in zip(batch, hs)]
 
     def test_batch_names_the_target_limit(self):
         sample = lockstep_samples()[2]
@@ -682,7 +712,8 @@ class TestLockstep:
                 list(E.select_bandwidths(batch, kernel))
 
     def test_batches_fit_the_cell_budget(self):
-        # a step grid holds every sample of its batch at its fused span
+        # a step grid holds every sample of its batch, with room for
+        # _TAIL_ROWS rows past the longest first range
         samples = lockstep_samples() * 40
         batches = list(E._batches(samples))
         assert [s for batch in batches for s in batch] == samples and len(batches) > 1
@@ -694,9 +725,10 @@ class TestLockstep:
 
     @pytest.mark.parametrize("kernel", [B, P, NB, T1])
     def test_grid_pass_spans_the_batch(self, kernel, monkeypatch):
-        # a batch's grid pass builds one first-range grid for all of its
-        # samples per chunk of J bandwidths, and every grid, first-range or
-        # tail, stays within the cell budget
+        # a batch's grid pass builds one grid for all of its samples per pass:
+        # its first bandwidth alone, once per span it reaches, then chunks of J
+        # bandwidths; every grid stays within the cell budget, and a batch
+        # whose span outgrows it is refused before its grid is built
         grids = []
         at = K._GridTerms.at
 
@@ -708,20 +740,30 @@ class TestLockstep:
         monkeypatch.setattr(K._GridTerms, "at", recording_at)
         hs = np.geomspace(1e-3, 1.0, 64)
         chunked = False
-        for batch in E._batches(lockstep_samples() * 40):
+        # the batches of a long run fill the budget at one bandwidth once a
+        # poisson or negbin span has grown; a short batch has room for chunks
+        for batch in [*E._batches(lockstep_samples() * 40), lockstep_samples()[:3]]:
             grids.clear()
-            E._CvEvaluator(batch, kernel).scores(hs)
-            firsts = [shape for shape in grids if len(shape) == 4]
-            J = firsts[0][1]
-            assert len(firsts) == math.ceil(64 / J)
-            assert all(shape[0] == len(batch) for shape in firsts)
+            evaluator = E._CvEvaluator(batch, kernel)
+            try:
+                evaluator.scores(hs)
+            except E._BatchTooWide:
+                assert len(batch) > 1
+                assert len(batch) * evaluator.span * evaluator.points.shape[1] > E._CV_BATCH_CELLS
+                assert max(math.prod(shape) for shape in grids) <= E._CV_BATCH_CELLS
+                continue
+            growths = (evaluator.span - max(evaluator.rows)) // E._TAIL_STEP
+            J = max(shape[1] for shape in grids)
+            assert len(grids) == 1 + growths + math.ceil(63 / J)
+            assert all(shape[0] == len(batch) for shape in grids)
             assert max(math.prod(shape) for shape in grids) <= E._CV_BATCH_CELLS
             chunked |= len(batch) > 1 and 1 < J < 64
         assert chunked
 
     def test_wide_batch_scratch_stays_within_one_evaluation(self, monkeypatch):
         # the largest scratch buffer of a batch of wide samples stays within the
-        # cell budget or one sample's one-bandwidth grid, fused with its first tail
+        # cell budget or one sample's one-bandwidth grid, at the span that its
+        # own first term needs at the smallest bandwidth
         sizes = []
 
         class RecordingScratch(K._Scratch):
@@ -731,11 +773,13 @@ class TestLockstep:
 
         monkeypatch.setattr(E, "_Scratch", RecordingScratch)
         samples = [E.Sample.from_values(np.random.default_rng(seed).integers(0, 400, 400)) for seed in range(9, 17)]
-        one = max((E.default_eval_hi(s) + 1 + E._TAIL_ROWS) * s.distinct_values.size for s in samples)
         for kernel in (B, P):
+            sizes.clear()
             cfg = E.default_search_config(kernel.family)
+            one = max((E.default_eval_hi(s) + 1 + reference_tail_rows(s, kernel, cfg.h_min)) * s.distinct_values.size
+                      for s in samples)
             list(E.select_bandwidths(samples, kernel, E.SearchConfig(cfg.h_min, cfg.h_max, grid_points=16)))
-        assert 0 < max(sizes) <= max(E._CV_BATCH_CELLS, one)
+            assert 0 < max(sizes) <= max(E._CV_BATCH_CELLS, one)
 
 
 # SHA-256 of the float-hex cv_curve lines that select_bandwidths gives on each
@@ -751,31 +795,61 @@ PINNED_CURVES = {
     "triangular(p=1) n=100": "20083e1c83e6350c594c827e26ee92e32e63898c28e15dfeafea6c6a890a18ff",
 }
 
+# The same, for samples whose first CV term needs more than _TAIL_ROWS rows
+# past the first range (negbin on the Poisson(40) and Poisson(60) draws), and
+# for the batch of fallback_batch(), which negbin selects sample by sample
+PINNED_WIDE_CURVES = {
+    "wide negbin": "9d9a907d7ee6c54a1f4d0373de199c6c5886c185f6e59359ebaedf53e7b0d244",
+    "wide poisson": "a40f11817eadc6414fd6414a5cbb68f8bc4f257c94799a01bc1ee94627a94593",
+    "mixed negbin": "25e738634d3c77cc1ac768444da5328809a04d78e0a2fab511077b011fb0820a",
+    "mixed poisson": "1ee64e034fe2f0076d6799dc08596a5ec4da6ef2850c694e722fc1e5b1cbb677",
+}
+
+
+def assert_pinned(batches, pinned):
+    # batches maps each label to the (samples, kernel, config) that it selects
+    import hashlib
+
+    import scipy
+
+    got = {}
+    for label, (samples, kernel, config) in batches.items():
+        digest = hashlib.sha256()
+        for sel in E.select_bandwidths(samples, kernel, config):
+            digest.update(f"{' '.join(f'{h.hex()}:{s.hex()}' for h, s in sel.cv_curve)}\n".encode())
+        got[label] = digest.hexdigest()
+    assert got.keys() == pinned.keys()
+    changed = [label for label in pinned if got[label] != pinned[label]]
+    assert not changed, (f"the cv_curve bits of {changed[0]} changed (numpy {np.__version__}, "
+                         f"scipy {scipy.__version__}; {len(changed)} of {len(got)} labels differ)")
+
 
 class TestPinnedBits:
     def test_study_cells_keep_their_cv_curves(self):
         # a change that moves any low bit of a selection, such as a re-associated
         # sum, changes a digest even where the 1e-12 oracles still pass
-        import hashlib
-
-        import scipy
-
         from dks import reproduce
         from dks.simulation import replicate_stream, sample_from_pmf
 
         config = reproduce.table23_config(42)
-        got = {}
+        batches = {}
         for kernel in config.kernels:
             for n in (15, 100) if kernel != D else ():
                 samples = [sample_from_pmf(config.true_pmf, n, replicate_stream(42, n, r)) for r in range(40)]
-                digest = hashlib.sha256()
-                for sel in E.select_bandwidths(samples, kernel, config.search_for(kernel)):
-                    digest.update(f"{' '.join(f'{h.hex()}:{s.hex()}' for h, s in sel.cv_curve)}\n".encode())
-                got[f"{kernel.label} n={n}"] = digest.hexdigest()
-        assert got.keys() == PINNED_CURVES.keys()
-        changed = [label for label in PINNED_CURVES if got[label] != PINNED_CURVES[label]]
-        assert not changed, (f"the cv_curve bits of {changed[0]} changed (numpy {np.__version__}, "
-                             f"scipy {scipy.__version__}; {len(changed)} of {len(got)} labels differ)")
+                batches[f"{kernel.label} n={n}"] = (samples, kernel, config.search_for(kernel))
+        assert_pinned(batches, PINNED_CURVES)
+
+    def test_wide_and_fallback_batches_keep_their_cv_curves(self):
+        from dks.risk import PoissonPmf
+        from dks.simulation import replicate_stream, sample_from_pmf
+
+        wide = [lockstep_samples()[1]]
+        wide += [sample_from_pmf(PoissonPmf(40.0), 30, replicate_stream(7, 30, r)) for r in range(4)]
+        batches = {}
+        for kernel in (NB, P):
+            batches[f"wide {kernel.label}"] = (wide, kernel, None)
+            batches[f"mixed {kernel.label}"] = (fallback_batch(), kernel, None)
+        assert_pinned(batches, PINNED_WIDE_CURVES)
 
 
 settings_facts = settings(max_examples=60, deadline=None, derandomize=True)
@@ -840,6 +914,23 @@ class TestNumericFacts:
         for grid, us, h in zip(grids, evaluator.us, hs):
             own = K._GridTerms(kernel, np.arange(rows), us).at(h)
             np.testing.assert_array_equal(grid[0, :, : us.size], own[0])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(shape=shapes, blocks=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_product_over_whole_blocks_equals_fresh_blocks(self, shape, blocks, seed):
+        # the evaluator sums a first term's tail by one product over every
+        # whole 16-row block that its grid holds; a reference builds each
+        # block as its own grid
+        J, rows, k, pad_cols, pad_rows = shape
+        rng = np.random.default_rng(seed)
+        end = rows + 16 * blocks
+        buffer, cs = rng.random((J, end + pad_rows, k + pad_cols)), rng.random(k)
+        sums = np.empty((J, end + pad_rows))
+        np.matmul(buffer[:, rows:end, :k], cs, out=sums[:, rows:end])
+        for j in range(J):
+            for start in range(rows, end, 16):
+                block = np.ascontiguousarray(buffer[j, start : start + 16, :k])
+                assert sums[j, start : start + 16].tolist() == (block @ cs).tolist()
 
     @settings_facts
     @given(shape=shapes, seed=st.integers(0, 2**32 - 1))

@@ -119,6 +119,12 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             small_config(sample_sizes=(1,))
 
+    def test_negative_seed_rejected(self):
+        # a seed is the entropy of every replicate's stream, which must be >= 0
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            small_config(seed=-1)
+        assert small_config(seed=0).seed == 0
+
     def test_dirac_column_tracks_frequency_mise(self):
         # long Monte Carlo run against the closed form, 5% relative
         cfg = small_config(replicates=2000, kernels=(K.dirac(),), seed=2024)

@@ -24,10 +24,17 @@ prints nothing.  The set:
   whose first CV term extends past the default range; each line is the whole
   ``cv_curve``, plus ``cv_score`` at an array of bandwidths and at scalars;
 - ``wide``: the same on wide samples (up to 400 distinct values spread
-  over 0..400, whose grids take the evaluator's one-bandwidth passes, and
-  two mid-width samples: the narrower one's grid passes hold three
-  bandwidths, the wider one's binomial grids are large enough for the
+  over 0..400, whose grids take one bandwidth a pass, and two mid-width
+  samples: after the first pass, which holds one bandwidth, the narrower
+  one's binomial and triangular grid passes hold three bandwidths and its
+  poisson ones two; the wider one's binomial grids are large enough for the
   masked ``exp``), with the raw estimate at the selected bandwidth;
+- ``batches``: ``select_bandwidths`` under the poisson and negbin kernels
+  on runs of samples: a Poisson(60) draw and four Poisson(40) draws, whose
+  negbin first CV terms need 64-80 rows past the default range, and a mixed
+  batch of three that fits 2^14 cells with 64 such rows but not with the 80
+  that its Poisson(60) draw needs, so negbin selects it sample by sample;
+  each line is a whole ``cv_curve``;
 - ``risk``: ``exact_mise`` breakdowns (per-target bias, variance,
   off-target terms, MISE and AMISE) for Poisson and tabulated truths, the
   dirac kernel and six kernels at three bandwidths each.
@@ -113,6 +120,19 @@ def _wide(np, E, K) -> list[str]:
     return lines
 
 
+def _batches(np, E, K, R, S) -> list[str]:
+    wide = [E.Sample.from_values(np.random.default_rng(4).poisson(60, 12))]
+    wide += [S.sample_from_pmf(R.PoissonPmf(40.0), 30, S.replicate_stream(7, 30, r)) for r in range(4)]
+    mixed = [wide[0], E.Sample.from_values(range(0, 58, 2)),
+             E.Sample.from_values(np.random.default_rng(6).integers(0, 30, 40))]
+    lines = []
+    for label, samples in (("wide", wide), ("mixed", mixed)):
+        for kernel in (K.poisson(), K.negbin()):
+            lines += [f"{label} {kernel.label} {i} curve {_curve(sel)}"
+                      for i, sel in enumerate(E.select_bandwidths(samples, kernel))]
+    return lines
+
+
 def _risk(np, K, R) -> list[str]:
     truths = [R.PoissonPmf(mu) for mu in (0.5, 2.0, 7.0, 40.0)]
     truths.append(R.TabulatedPmf(np.array([0.1, 0.3, 0.25, 0.2, 0.1, 0.05])))
@@ -165,6 +185,7 @@ def main(argv: list[str]) -> int:
         "small-r-threads2": lambda: _small_r_studies(REP, S, "2"),
         "selections": lambda: _selections(E, K, R, S),
         "wide": lambda: _wide(np, E, K),
+        "batches": lambda: _batches(np, E, K, R, S),
         "risk": lambda: _risk(np, K, R),
     }
     for name, compute in parts.items():
