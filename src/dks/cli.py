@@ -250,11 +250,10 @@ def _cmd_kernel_info(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     if args.table in (1, 2, 3):
-        with _usage_errors():
-            config = (reproduce.table1_config if args.table == 1 else reproduce.table23_config)(args.seed)
-        report = run_study(config)
+        with _usage_errors():  # a bad seed is refused before the study runs
+            (reproduce.table1_config if args.table == 1 else reproduce.table23_config)(args.seed)
     if args.table == 1:
-        rows = reproduce.table1_rows(report)
+        rows = reproduce.run_table1(args.seed)
         _print_table(
             ["n", "kernel_ise", "reference", "rel_err", "frequency_ise", "reference_f", "rel_err_f"],
             [
@@ -264,31 +263,33 @@ def _cmd_reproduce(args) -> int:
                 for r in rows
             ],
         )
-    elif args.table == 2:
-        rows = reproduce.table2_rows(report)
-        _print_table(
-            ["kernel", "n", "h_mean", "reference", "rel_err", "h_sd", "reference_sd"],
-            [
-                [r["kernel"], r["n"], _fmt(r["h_mean"], 4), _fmt(r["reference_mean"]),
-                 f"{r['rel_err_mean']:+.1%}", _fmt(r["h_sd"], 4), _fmt(r["reference_sd"])]
-                for r in rows
-            ],
-        )
-    elif args.table == 3:
-        rows = reproduce.table3_rows(report)
-        _print_table(
-            ["kernel", "n", "mise_x1000", "reference", "rel_err", "ibias_x1000", "ref_ibias", "ivar_x1000",
-             "ref_ivar", "mc_ise_x1000"],
-            [
-                [r["kernel"], r["n"], _fmt(r["mise_x1000"], 4), _fmt(r["reference_mise_x1000"]),
-                 f"{r['rel_err']:+.1%}", _fmt(r["ibias_x1000"], 4), _fmt(r["reference_ibias_x1000"]),
-                 _fmt(r["ivar_x1000"], 4), _fmt(r["reference_ivar_x1000"]), _fmt(r["mc_mise_x1000"], 4)]
-                for r in rows
-            ],
-        )
-        print("# mise/ibias/ivar: exact risk of the raw estimator at each replicate's h_cv, "
-              "averaged over replicates (dirac: (1 - sum f^2)/n)")
-        print("# mc_ise: Monte Carlo mean ISE of the replicate estimates")
+    elif args.table in (2, 3):
+        report = reproduce.run_table23_study(args.seed)
+        if args.table == 2:
+            rows = reproduce.table2_rows(report)
+            _print_table(
+                ["kernel", "n", "h_mean", "reference", "rel_err", "h_sd", "reference_sd"],
+                [
+                    [r["kernel"], r["n"], _fmt(r["h_mean"], 4), _fmt(r["reference_mean"]),
+                     f"{r['rel_err_mean']:+.1%}", _fmt(r["h_sd"], 4), _fmt(r["reference_sd"])]
+                    for r in rows
+                ],
+            )
+        else:
+            rows = reproduce.table3_rows(report)
+            _print_table(
+                ["kernel", "n", "mise_x1000", "reference", "rel_err", "ibias_x1000", "ref_ibias", "ivar_x1000",
+                 "ref_ivar", "mc_ise_x1000"],
+                [
+                    [r["kernel"], r["n"], _fmt(r["mise_x1000"], 4), _fmt(r["reference_mise_x1000"]),
+                     f"{r['rel_err']:+.1%}", _fmt(r["ibias_x1000"], 4), _fmt(r["reference_ibias_x1000"]),
+                     _fmt(r["ivar_x1000"], 4), _fmt(r["reference_ivar_x1000"]), _fmt(r["mc_mise_x1000"], 4)]
+                    for r in rows
+                ],
+            )
+            print("# mise/ibias/ivar: exact risk of the raw estimator at each replicate's h_cv, "
+                  "averaged over replicates (dirac: (1 - sum f^2)/n)")
+            print("# mc_ise: Monte Carlo mean ISE of the replicate estimates")
     else:
         rows = reproduce.table5_rows()
         _print_table(

@@ -251,10 +251,6 @@ _REFINE_ITERATIONS = 40
 _CV_MAX_TARGET = 100_000
 
 
-class _BatchTooWide(Exception):
-    """A batch of several samples needs a grid past _CV_BATCH_CELLS at one bandwidth."""
-
-
 class _CvEvaluator:
     """CV(h) of a batch of samples under one kernel, at any bandwidths.
 
@@ -286,9 +282,11 @@ class _CvEvaluator:
         for b, us in enumerate(self.us):
             self.points[b, : us.size] = us
         self.span = max(self.rows)
+        self.top = max(self.span + _TAIL_ROWS, _CV_BATCH_CELLS // self.points.size)
         self._terms: _GridTerms | None = None
         self._layout: _Layout | None = None
         self._scratch = _Scratch()
+        self._tails: list[_GridTerms | None] = [None] * len(self.samples)
 
     def _grid(self, hs: np.ndarray) -> np.ndarray:
         # K_{x,h} on the targets x = 0..span-1 of every sample, padded, as
@@ -299,15 +297,19 @@ class _CvEvaluator:
         return self._terms.at(hs)
 
     # The span starts at the longest first range, past default_eval_hi, and
-    # grows by _TAIL_STEP rows whenever a first term's summand is above
-    # _CV_TAIL_EPS at the last row that it holds; the diffuse families have
-    # mass well beyond the largest observation.  Every observed value is a
-    # target, so the rows us of a bandwidth's grid are the pair grid
-    # K_{us,h}(us).  Each bandwidth is reduced on 2-d slices of its sample's
-    # exact shape: one matrix-vector product over its first range and one
-    # over the whole _TAIL_STEP-row blocks past it, which gives each row the
-    # bits of its own block.  A product over zero-padded rows or columns would
-    # change the low bits, so none is run.
+    # grows by _TAIL_STEP rows, up to top, whenever a first term's summand is
+    # above _CV_TAIL_EPS at the last row that it holds; the diffuse families
+    # have mass well beyond the largest observation.  top is the batch's room,
+    # _TAIL_ROWS past its longest first range, or more while one bandwidth of
+    # every sample fits _CV_BATCH_CELLS.  A first term that runs past it goes
+    # on in grids of _TAIL_ROWS rows of its own sample, so a batch's grid stays
+    # within its room, and a grid past _CV_BATCH_CELLS within one evaluation.
+    # Every observed value is a target, so the rows us of a bandwidth's grid
+    # are the pair grid K_{us,h}(us).  Each bandwidth is reduced on 2-d slices
+    # of its sample's exact shape: one matrix-vector product over its first
+    # range and one over the whole _TAIL_STEP-row blocks past it, which gives
+    # each row the bits of its own block.  A product over zero-padded rows or
+    # columns would change the low bits, so none is run.
 
     def scores(self, hs: np.ndarray) -> list[list[float]]:
         # Every sample at every bandwidth of hs.  The first pass holds one
@@ -351,33 +353,42 @@ class _CvEvaluator:
                 np.matmul(grid, cs, out=out)
         layout.sums /= layout.n
         sums = layout.summands
-        ends = []
+        firsts = []
         for q, (end, limit) in enumerate(layout.items):
-            while sums[q, end - 1] > _CV_TAIL_EPS:
+            vals = sums[q, :limit]
+            while vals[end - 1] > _CV_TAIL_EPS:
                 if end - 1 > _CV_MAX_TARGET:
                     self._refuse(q // J)
-                if end == limit:
-                    # the pass runs again on _TAIL_STEP more rows, with terms and
-                    # scratch built afresh, so that the old ones are freed first
-                    self.span += _TAIL_STEP
-                    if len(self.samples) > 1 and len(self.samples) * self.span * self.points.shape[1] > _CV_BATCH_CELLS:
-                        raise _BatchTooWide
-                    self._terms, self._layout, self._scratch = None, None, _Scratch()
-                    return None
+                if end == vals.size:
+                    if self.span < self.top:
+                        # the pass runs again on _TAIL_STEP more rows, with terms and
+                        # scratch built afresh, so that the old ones are freed first
+                        self.span = min(self.span + _TAIL_STEP, self.top)
+                        self._terms, self._layout, self._scratch = None, None, _Scratch()
+                        return None
+                    vals = np.concatenate([vals, self._tail_sums(q // J, hs[q // J, q % J], end)])
                 end += _TAIL_STEP
-            ends.append(end)
+            firsts.append(vals[:end])
         # every index is a row of grids, so mode="wrap" copies the same cells
         # as the default, which would gather through a fresh buffer
         grids.reshape(-1, grids.shape[-1]).take(layout.index, axis=0, out=layout.pairs, mode="wrap")
         out = []
         for b, (cs, pair_grids, diagonals, n2) in enumerate(layout.pair_terms):
             scores = []
-            for q, row, diagonal in zip(range(b * J, (b + 1) * J), cs @ pair_grids, diagonals):
-                vals = sums[q, : ends[q]]
+            for vals, row, diagonal in zip(firsts[b * J : (b + 1) * J], cs @ pair_grids, diagonals):
                 pair_sum = float(row.dot(cs) - cs.dot(diagonal))
                 scores.append(float(vals.dot(vals)) - 2.0 * pair_sum / n2)
             out.append(scores)
         return out
+
+    def _tail_sums(self, b: int, h: float, start: int) -> np.ndarray:
+        # The summands of sample b at h on the _TAIL_ROWS targets from start,
+        # past top, by one product over whole _TAIL_STEP-row blocks.  The terms
+        # are kept for the next pass, whose first such range starts there too.
+        terms = self._tails[b]
+        if terms is None or terms.X[0, 0] != start:
+            terms = self._tails[b] = _GridTerms(self.kernel, np.arange(start, start + _TAIL_ROWS), self.us[b])
+        return terms.at(np.array([h]))[0] @ self.cs[b] / self.samples[b].n
 
     def _refuse(self, b: int):
         raise RuntimeError(
@@ -499,19 +510,6 @@ def _curves(evaluator: _CvEvaluator, hs: np.ndarray) -> np.ndarray:
     return curves
 
 
-def _select(batch, kernel: KernelSpec, hs: np.ndarray):
-    # The selections of a batch, in its order.  A batch whose grid outgrows
-    # _CV_BATCH_CELLS is selected sample by sample, with the same bits.
-    try:
-        curves = _curves(_CvEvaluator(batch, kernel), hs)
-    except _BatchTooWide:
-        curves = np.concatenate([_curves(_CvEvaluator([sample], kernel), hs) for sample in batch], axis=1)
-    for h_row, cv_row in zip(*curves):
-        curve = list(zip(h_row.tolist(), cv_row.tolist()))
-        best_h, _ = min(curve, key=lambda t: (t[1], t[0]))
-        yield BandwidthSelection(float(best_h), sorted(curve))
-
-
 def select_bandwidths(
     samples,
     kernel: KernelSpec,
@@ -522,8 +520,7 @@ def select_bandwidths(
 
     The samples are selected in lockstep, in batches whose step grids fit in
     2^14 cells: one pass evaluates a chunk of the grid, or a golden-section
-    step, of every selection in the batch; a batch whose first CV terms
-    outgrow that is selected sample by sample.  Each selection equals
+    step, of every selection in the batch.  Each selection equals
     ``select_bandwidth`` on its sample alone, bit for bit.  A batch is
     selected when the first of its selections is asked for, so a caller
     that keeps only the bandwidths holds the curves of one batch at a time.
@@ -532,7 +529,10 @@ def select_bandwidths(
     validate_bandwidth(kernel, cfg.h_max)
     hs = np.geomspace(cfg.h_min, cfg.h_max, cfg.grid_points)
     for batch in _batches(samples):
-        yield from _select(batch, kernel, hs)
+        for h_row, cv_row in zip(*_curves(_CvEvaluator(batch, kernel), hs)):
+            curve = list(zip(h_row.tolist(), cv_row.tolist()))
+            best_h, _ = min(curve, key=lambda t: (t[1], t[0]))
+            yield BandwidthSelection(float(best_h), sorted(curve))
 
 
 def select_bandwidth(

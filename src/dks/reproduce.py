@@ -44,7 +44,6 @@ __all__ = [
     "table1_config",
     "table23_config",
     "run_table1",
-    "table1_rows",
     "run_table23_study",
     "table2_rows",
     "table3_rows",
@@ -127,10 +126,7 @@ def table23_config(seed: int = DEFAULT_SEED) -> SimulationConfig:
 
 def run_table1(seed: int = DEFAULT_SEED) -> list[dict]:
     """Kernel-vs-frequency mean ISE comparison rows."""
-    return table1_rows(run_study(table1_config(seed)))
-
-
-def table1_rows(report: StudyReport) -> list[dict]:
+    report = run_study(table1_config(seed))
     rows = []
     for n in (25, 100):
         ref_k, ref_f = REFERENCE_TABLE1[n]

@@ -455,6 +455,30 @@ class TestCvEvaluator:
         assert tail > E._TAIL_STEP
         assert built == [(0, rows + grown) for grown in range(0, tail + 1, E._TAIL_STEP)]
 
+    @pytest.mark.parametrize("kernel", [P, NB])
+    def test_long_first_term_builds_grids_linearly_in_its_rows(self, kernel, monkeypatch):
+        # a first term that runs a thousand rows past the first range of a
+        # sample whose grid is past the cell budget grows the span to
+        # _TAIL_ROWS rows, then goes on in fresh _TAIL_ROWS-row grids, one per
+        # block of rows that it sums
+        sample = E.Sample.from_values([40000, 40005, 40017])
+        want = reference_cv_score(sample, kernel, 1.0)
+        tail = reference_tail_rows(sample, kernel, 1.0)
+        built = []
+
+        class CountingTerms(K._GridTerms):
+            def __init__(self, kernel, xs, ys):
+                built.append((int(xs[0]), len(xs)))
+                super().__init__(kernel, xs, ys)
+
+        monkeypatch.setattr(E, "_GridTerms", CountingTerms)
+        monkeypatch.setattr(K, "_GridTerms", CountingTerms)
+        assert E.cv_score(sample, kernel, 1.0) == want
+        rows = E.default_eval_hi(sample) + 1
+        spans = [(0, rows + grown) for grown in range(0, E._TAIL_ROWS + 1, E._TAIL_STEP)]
+        tails = [(start, E._TAIL_ROWS) for start in range(rows + E._TAIL_ROWS, rows + tail, E._TAIL_ROWS)]
+        assert tail > 10 * E._TAIL_ROWS and built == spans + tails
+
     @pytest.mark.parametrize(
         "kernel, cfg",
         [(P, E.SearchConfig(3.0, 6.0, 16)), (NB, E.SearchConfig(3.0, 6.0, 16)), (B, E.SearchConfig(1e-4, 1.0, 16))],
@@ -592,7 +616,7 @@ def lockstep_samples():
     ]
 
 
-def fallback_batch():
+def overflow_batch():
     """One batch of three samples whose step grid fits _CV_BATCH_CELLS with
     room for _TAIL_ROWS rows, but not with the 80 that the Poisson(60)
     draw's negbin first term needs."""
@@ -651,26 +675,33 @@ class TestLockstep:
             assert got.h_cv.hex() == want.h_cv.hex()
             assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
 
-    def test_batch_past_the_cell_budget_is_selected_sample_by_sample(self, monkeypatch):
-        # the first sample's negbin first term grows the span of this batch
-        # past _CV_BATCH_CELLS, so each sample is selected alone; its poisson
-        # first term stays within the batch's _TAIL_ROWS allowance
-        samples = fallback_batch()
+    def test_batch_past_its_grid_room_stays_in_lockstep(self, monkeypatch):
+        # the first sample's negbin first term runs past the _TAIL_ROWS rows
+        # that the batch's grid holds for it, so its tail goes on in grids of
+        # its own while the batch keeps one evaluator; its poisson first term
+        # stays within those rows
+        samples = overflow_batch()
         assert len(list(E._batches(samples))) == 1
-        evaluators = []
+        evaluators, tails = [], []
+        tail_sums = E._CvEvaluator._tail_sums
 
         class CountingEvaluator(E._CvEvaluator):
             def __init__(self, samples, kernel):
                 evaluators.append(len(samples))
                 super().__init__(samples, kernel)
 
-        for kernel, made in ((NB, [3, 1, 1, 1]), (P, [3])):
+            def _tail_sums(self, b, h, start):
+                tails.append(b)
+                return tail_sums(self, b, h, start)
+
+        for kernel, tailed in ((NB, {0}), (P, set())):
             alone = [E.select_bandwidth(sample, kernel) for sample in samples]
             evaluators.clear()
+            tails.clear()
             monkeypatch.setattr(E, "_CvEvaluator", CountingEvaluator)
             batch = list(E.select_bandwidths(samples, kernel))
             monkeypatch.undo()
-            assert evaluators == made
+            assert evaluators == [3] and set(tails) == tailed
             for got, want in zip(batch, alone):
                 assert got.h_cv.hex() == want.h_cv.hex()
                 assert hex_curve(got.cv_curve) == hex_curve(want.cv_curve)
@@ -694,15 +725,13 @@ class TestLockstep:
         assert len(list(selections)) == len(samples) - 1 and len(evaluators) > 1
 
     def test_cv_score_is_the_batch_of_one(self):
+        samples = lockstep_samples()
         hs = np.geomspace(1e-3, 5.0, 9)
-        batches = list(E._batches(lockstep_samples()))
-        assert max(len(batch) for batch in batches) > 1
-        for batch in batches:
-            evaluator = E._CvEvaluator(batch, P)
-            for sample, scores in zip(batch, evaluator.scores(hs)):
-                assert scores == E.cv_score(sample, P, hs).tolist()
-            steps = evaluator.step(hs[: len(batch)])
-            assert steps == [E.cv_score(sample, P, h) for sample, h in zip(batch, hs)]
+        evaluator = E._CvEvaluator(samples, P)
+        for sample, scores in zip(samples, evaluator.scores(hs)):
+            assert scores == E.cv_score(sample, P, hs).tolist()
+        steps = evaluator.step(hs[: len(samples)])
+        assert steps == [E.cv_score(sample, P, h) for sample, h in zip(samples, hs)]
 
     def test_batch_names_the_target_limit(self):
         sample = lockstep_samples()[2]
@@ -726,9 +755,9 @@ class TestLockstep:
     @pytest.mark.parametrize("kernel", [B, P, NB, T1])
     def test_grid_pass_spans_the_batch(self, kernel, monkeypatch):
         # a batch's grid pass builds one grid for all of its samples per pass:
-        # its first bandwidth alone, once per span it reaches, then chunks of J
-        # bandwidths; every grid stays within the cell budget, and a batch
-        # whose span outgrows it is refused before its grid is built
+        # its first bandwidth alone, once per span that it reaches, then chunks
+        # of J bandwidths; every grid, the batch's or a sample's tail, stays
+        # within the cell budget
         grids = []
         at = K._GridTerms.at
 
@@ -740,30 +769,25 @@ class TestLockstep:
         monkeypatch.setattr(K._GridTerms, "at", recording_at)
         hs = np.geomspace(1e-3, 1.0, 64)
         chunked = False
-        # the batches of a long run fill the budget at one bandwidth once a
-        # poisson or negbin span has grown; a short batch has room for chunks
+        # the full batches of a long run leave room for one bandwidth a pass
+        # once a poisson or negbin span has grown; a short batch has room for
+        # chunks
         for batch in [*E._batches(lockstep_samples() * 40), lockstep_samples()[:3]]:
             grids.clear()
             evaluator = E._CvEvaluator(batch, kernel)
-            try:
-                evaluator.scores(hs)
-            except E._BatchTooWide:
-                assert len(batch) > 1
-                assert len(batch) * evaluator.span * evaluator.points.shape[1] > E._CV_BATCH_CELLS
-                assert max(math.prod(shape) for shape in grids) <= E._CV_BATCH_CELLS
-                continue
-            growths = (evaluator.span - max(evaluator.rows)) // E._TAIL_STEP
-            J = max(shape[1] for shape in grids)
-            assert len(grids) == 1 + growths + math.ceil(63 / J)
-            assert all(shape[0] == len(batch) for shape in grids)
+            evaluator.scores(hs)
+            firsts = [shape for shape in grids if len(shape) == 4]
+            growths = len({shape[2] for shape in firsts}) - 1
+            J = max(shape[1] for shape in firsts)
+            assert len(firsts) == 1 + growths + math.ceil(63 / J)
+            assert all(shape[0] == len(batch) for shape in firsts)
             assert max(math.prod(shape) for shape in grids) <= E._CV_BATCH_CELLS
             chunked |= len(batch) > 1 and 1 < J < 64
         assert chunked
 
     def test_wide_batch_scratch_stays_within_one_evaluation(self, monkeypatch):
         # the largest scratch buffer of a batch of wide samples stays within the
-        # cell budget or one sample's one-bandwidth grid, at the span that its
-        # own first term needs at the smallest bandwidth
+        # cell budget or one sample's one-bandwidth grid, fused with its first tail
         sizes = []
 
         class RecordingScratch(K._Scratch):
@@ -773,13 +797,11 @@ class TestLockstep:
 
         monkeypatch.setattr(E, "_Scratch", RecordingScratch)
         samples = [E.Sample.from_values(np.random.default_rng(seed).integers(0, 400, 400)) for seed in range(9, 17)]
+        one = max((E.default_eval_hi(s) + 1 + E._TAIL_ROWS) * s.distinct_values.size for s in samples)
         for kernel in (B, P):
-            sizes.clear()
             cfg = E.default_search_config(kernel.family)
-            one = max((E.default_eval_hi(s) + 1 + reference_tail_rows(s, kernel, cfg.h_min)) * s.distinct_values.size
-                      for s in samples)
             list(E.select_bandwidths(samples, kernel, E.SearchConfig(cfg.h_min, cfg.h_max, grid_points=16)))
-            assert 0 < max(sizes) <= max(E._CV_BATCH_CELLS, one)
+        assert 0 < max(sizes) <= max(E._CV_BATCH_CELLS, one)
 
 
 # SHA-256 of the float-hex cv_curve lines that select_bandwidths gives on each
@@ -797,7 +819,8 @@ PINNED_CURVES = {
 
 # The same, for samples whose first CV term needs more than _TAIL_ROWS rows
 # past the first range (negbin on the Poisson(40) and Poisson(60) draws), and
-# for the batch of fallback_batch(), which negbin selects sample by sample
+# for the batch of overflow_batch(), whose Poisson(60) draw's negbin first term
+# runs past the batch's room
 PINNED_WIDE_CURVES = {
     "wide negbin": "9d9a907d7ee6c54a1f4d0373de199c6c5886c185f6e59359ebaedf53e7b0d244",
     "wide poisson": "a40f11817eadc6414fd6414a5cbb68f8bc4f257c94799a01bc1ee94627a94593",
@@ -839,7 +862,7 @@ class TestPinnedBits:
                 batches[f"{kernel.label} n={n}"] = (samples, kernel, config.search_for(kernel))
         assert_pinned(batches, PINNED_CURVES)
 
-    def test_wide_and_fallback_batches_keep_their_cv_curves(self):
+    def test_wide_and_overflowing_batches_keep_their_cv_curves(self):
         from dks.risk import PoissonPmf
         from dks.simulation import replicate_stream, sample_from_pmf
 
@@ -848,7 +871,7 @@ class TestPinnedBits:
         batches = {}
         for kernel in (NB, P):
             batches[f"wide {kernel.label}"] = (wide, kernel, None)
-            batches[f"mixed {kernel.label}"] = (fallback_batch(), kernel, None)
+            batches[f"mixed {kernel.label}"] = (overflow_batch(), kernel, None)
         assert_pinned(batches, PINNED_WIDE_CURVES)
 
 

@@ -33,8 +33,9 @@ prints nothing.  The set:
   on runs of samples: a Poisson(60) draw and four Poisson(40) draws, whose
   negbin first CV terms need 64-80 rows past the default range, and a mixed
   batch of three that fits 2^14 cells with 64 such rows but not with the 80
-  that its Poisson(60) draw needs, so negbin selects it sample by sample;
-  each line is a whole ``cv_curve``;
+  that its Poisson(60) draw needs, so negbin sums that draw's last rows in
+  grids of its own, in lockstep with the batch; each line is a whole
+  ``cv_curve``;
 - ``risk``: ``exact_mise`` breakdowns (per-target bias, variance,
   off-target terms, MISE and AMISE) for Poisson and tabulated truths, the
   dirac kernel and six kernels at three bandwidths each.
