@@ -10,8 +10,12 @@
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -194,14 +198,78 @@ def _workers_from_env() -> int:
     return workers
 
 
+# The one study pool of this process, as (worker count, pool, exit
+# finalizer), and the lock that a pooled study holds while it uses it.  A
+# fresh pool's start and its workers' copy-on-write faults weigh heavily on a
+# small study, so the workers are kept, idle, between studies;
+# concurrent.futures' exit hook joins them when the interpreter exits.  A
+# process that multiprocessing started joins its children before that hook
+# runs, but after its finalizers, so the pool's finalizer drops it there.
+_pool: tuple[int, ProcessPoolExecutor, Finalize] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child owns neither its parent's pool (the workers and the
+    # threads that feed them stay with the parent) nor a lock that another
+    # thread held at the fork, so it starts without both.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+@contextmanager
+def _study_pool(workers: int):
+    # The cached pool, unless it has another worker count or a worker has
+    # exited, which its sentinel shows at once (a pool with a dead worker
+    # fails every task it is given); then a new one.  A study that fails
+    # drops the pool, so that none of its queued tasks runs into the next
+    # study.
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            count, pool, _ = _pool
+            if count != workers or wait([p.sentinel for p in pool._processes.values()], timeout=0):
+                _drop_pool()
+        if _pool is None:
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers), Finalize(None, _drop_pool, exitpriority=0))
+        try:
+            yield _pool[1]
+        except BaseException:
+            _drop_pool()
+            raise
+
+
+def _drop_pool() -> None:
+    # Shut the cached pool down, its workers killed first: no study is using
+    # it, or the one that was has failed.  A graceful shutdown could wait
+    # forever, on workers that wait for the task queue's lock that a killed
+    # worker held.
+    global _pool
+    if _pool is not None:
+        _, pool, at_exit = _pool
+        _pool = None
+        at_exit.cancel()
+        for p in pool._processes.values():
+            p.kill()
+        pool.shutdown(cancel_futures=True)
+
+
 def run_study(config: SimulationConfig) -> StudyReport:
     """Run the full kernels-by-sizes-by-replicates grid.
 
     Per cell: mean of the replicate ISEs, the pointwise-mean bias/variance
     decomposition of those estimates, and the bandwidth statistics.
-    Replicates may execute in parallel (DKS_THREADS), in one process pool
-    for the whole study; aggregation is a deterministic reduction in
-    replicate order either way.
+    Replicates may execute in parallel (DKS_THREADS), in the process's one
+    pool: it is started by the first pooled study, reused by every later
+    one with the same worker count, and replaced when the count changes or
+    a worker has died.  Its idle workers are kept until the interpreter
+    exits; a forked child starts a pool of its own.  A study that fails
+    shuts the pool down, so none of its queued tasks runs into the next
+    study, and pooled studies in several threads take the pool in turn.
+    Aggregation is a deterministic reduction in replicate order either way.
     """
     workers = _workers_from_env()
     report = StudyReport(
@@ -213,12 +281,11 @@ def run_study(config: SimulationConfig) -> StudyReport:
     truth_hi = config.true_pmf.tail_cutoff(1e-12)
     cells = [(kernel, n) for kernel in config.kernels for n in config.sample_sizes]
     R = config.replicates
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     # About workers * 4 tasks for the whole study, and never more than one cell per task;
     # serially, one run per cell.  Each run's replicates select their bandwidths in lockstep.
-    chunk = min(R, max(1, len(cells) * R // (workers * 4))) if pool else R
+    chunk = min(R, max(1, len(cells) * R // (workers * 4))) if workers > 1 else R
     runs = [range(start, min(start + chunk, R)) for start in range(0, R, chunk)]
-    try:
+    with _study_pool(workers) if workers > 1 else nullcontext() as pool:
         # Every cell's runs are queued up front, so the workers go on to the next cell while
         # this process aggregates the previous one.  Both maps yield runs in replicate order.
         pending = []
@@ -253,7 +320,4 @@ def run_study(config: SimulationConfig) -> StudyReport:
                     h_values=[float(h) for h in hs],
                 )
             )
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return report

@@ -1,4 +1,10 @@
 import os
+import re
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +16,16 @@ from dks.reproduce import table23_config
 from dks.risk import PoissonPmf, TabulatedPmf, frequency_mise
 
 F2 = PoissonPmf(2.0)
+
+
+@pytest.fixture(autouse=True)
+def no_cached_pool():
+    """Each test starts and ends without the process's cached study pool, so
+    that a pool class a test patches in is the one run_study starts, and no
+    pool outlives its test."""
+    S._drop_pool()
+    yield
+    S._drop_pool()
 
 
 def small_config(**overrides):
@@ -147,16 +163,7 @@ class TestRunStudy:
     def test_parallel_equals_serial(self, monkeypatch):
         cfg = small_config(replicates=6, sample_sizes=(15, 25))
         serial = S.run_study(cfg)
-        pools = []
-
-        class CountingPool(S.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(S, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(S.os, "cpu_count", lambda: 2)  # DKS_THREADS is capped at the CPU count
-        monkeypatch.setenv("DKS_THREADS", "2")
+        pools = started_pools(monkeypatch)
         parallel = S.run_study(cfg)
         assert len(pools) == 1  # one pool serves all four cells
         assert serial.cells == parallel.cells
@@ -215,6 +222,170 @@ class TestPoolTasks:
             want = [S.run_replicate(cfg, K.binomial(), n, rep).h_cv for rep in range(6)]
             assert len(set(want)) > 1
             assert report.cell("binomial", n).h_values == want
+
+
+def started_pools(monkeypatch, workers=2) -> list:
+    """Make run_study use a pool of ``workers``; the returned list collects
+    every pool it starts."""
+    pools = []
+
+    class CountingPool(S.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(S, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(S.os, "cpu_count", lambda: workers)  # DKS_THREADS is capped at the CPU count
+    monkeypatch.setenv("DKS_THREADS", str(workers))
+    return pools
+
+
+def failing_config():
+    """Every sample lies at 99,998..99,999, so the poisson cell's first CV terms
+    need targets past the limit; the dirac cell's tasks are queued behind it."""
+    far = TabulatedPmf(np.r_[np.zeros(99_998), [0.5, 0.5]])
+    return small_config(true_pmf=far, sample_sizes=(5,), replicates=4, kernels=(K.poisson(), K.dirac()))
+
+
+class TestStudyPool:
+    def test_consecutive_studies_share_one_pool(self, monkeypatch):
+        first, second = small_config(seed=5), small_config(seed=6, sample_sizes=(15, 25))
+        serial = [S.run_study(first), S.run_study(second)]
+        pools = started_pools(monkeypatch)
+        assert [S.run_study(first), S.run_study(second)] == serial
+        assert len(pools) == 1
+
+    def test_changed_worker_count_starts_a_new_pool(self, monkeypatch):
+        cfg = small_config()
+        serial = S.run_study(cfg)
+        pools = started_pools(monkeypatch, workers=3)
+        monkeypatch.setenv("DKS_THREADS", "2")
+        assert S.run_study(cfg) == serial
+        monkeypatch.setenv("DKS_THREADS", "3")
+        assert S.run_study(cfg) == serial
+        assert [pool._max_workers for pool in pools] == [2, 3]
+        assert S._pool[:2] == (3, pools[1])
+
+    def test_dead_idle_worker_is_replaced(self, tmp_path):
+        # three times: kill an idle worker, then run a pooled study, which must
+        # start a new pool and equal serial (in a fresh process, so that a
+        # shutdown waiting on the dead worker fails this test, not the suite)
+        out = run_script(tmp_path, """
+            import multiprocessing.connection, os, signal
+            from dks import kernels as K, simulation as S
+            from dks.risk import PoissonPmf
+            cfg = S.SimulationConfig(PoissonPmf(2.0), (25,), 8, (K.dirac(), K.binomial()), 123)
+            serial = S.run_study(cfg)
+            S.os.cpu_count = lambda: 2
+            os.environ["DKS_THREADS"] = "2"
+            assert S.run_study(cfg) == serial
+            for _ in range(3):
+                pool = S._pool
+                worker = multiprocessing.active_children()[0]
+                os.kill(worker.pid, signal.SIGKILL)
+                assert multiprocessing.connection.wait([worker.sentinel], timeout=10)  # it has exited
+                print(S.run_study(cfg) == serial, S._pool[1] is not pool[1])
+        """)
+        assert out.split() == ["True"] * 6
+
+    def test_failed_study_drops_its_pool(self, monkeypatch):
+        failing = failing_config()
+        with pytest.raises(RuntimeError, match="failed to truncate") as serial_error:
+            S.run_study(failing)
+        cfg = small_config()
+        serial = S.run_study(cfg)
+        pools = started_pools(monkeypatch)
+        with pytest.raises(RuntimeError, match=re.escape(str(serial_error.value))):
+            S.run_study(failing)
+        assert S._pool is None
+        assert S.run_study(cfg) == serial
+        assert len(pools) == 2
+
+    def test_threads_take_the_pool_in_turn(self, monkeypatch):
+        # rounds of pooled studies in four threads on a short switch interval,
+        # the first of them failing: each of the others still gets the serial
+        # result
+        cfg, failing = small_config(sample_sizes=(15, 25)), failing_config()
+        serial = S.run_study(cfg)
+        started_pools(monkeypatch)
+
+        def study(i, results):
+            try:
+                results[i] = S.run_study(failing if i == 0 else cfg)
+            except RuntimeError as exc:
+                results[i] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                results = [None] * 4
+                threads = [threading.Thread(target=study, args=(i, results)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert "failed to truncate" in str(results[0])
+                assert results[1:] == [serial] * 3
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_child_process_runs_its_own_pool(self, tmp_path):
+        # a child that multiprocessing forks after a pooled study: its pooled
+        # study equals serial on a pool of its own, and it exits
+        out = run_script(tmp_path, """
+            import multiprocessing, os
+            from dks import kernels as K, simulation as S
+            from dks.risk import PoissonPmf
+            cfg = S.SimulationConfig(PoissonPmf(2.0), (25,), 4, (K.binomial(),), 1)
+            serial = S.run_study(cfg)
+            S.os.cpu_count = lambda: 2
+            os.environ["DKS_THREADS"] = "2"
+            assert S.run_study(cfg) == serial
+            ctx = multiprocessing.get_context("fork")
+            results = ctx.Queue()
+            child = ctx.Process(target=lambda: results.put(S.run_study(cfg) == serial))
+            child.start()
+            print(results.get(timeout=30))
+            child.join(timeout=30)
+            print(child.exitcode)
+        """)
+        assert out.split() == ["True", "0"]
+
+    def test_no_worker_outlives_the_process(self, tmp_path):
+        out = run_script(tmp_path, """
+            import multiprocessing, os
+            from dks import kernels as K, simulation as S
+            from dks.risk import PoissonPmf
+            S.os.cpu_count = lambda: 2
+            os.environ["DKS_THREADS"] = "2"
+            S.run_study(S.SimulationConfig(PoissonPmf(2.0), (25,), 4, (K.binomial(),), 1))
+            print(*[p.pid for p in multiprocessing.active_children()])
+        """)
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def run_script(cwd, script: str, timeout=120) -> str:
+    """Run ``script`` in a fresh interpreter, in its own process group, with this
+    tree's ``src`` on the path, and return its stdout.  On a timeout the whole
+    group, pool workers included, is killed and the test fails."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)], cwd=cwd, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"the script did not finish in {timeout} s")
+    assert proc.returncode == 0, err
+    return out
 
 
 class TestWorkersFromEnv:
